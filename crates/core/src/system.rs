@@ -255,6 +255,26 @@ impl PairedSystem {
     /// Runs until the program halts, crashes, or `max_instrs` instructions
     /// retire; then finalizes all outstanding checks and reports.
     pub fn run(&mut self, max_instrs: u64) -> RunReport {
+        self.drive(max_instrs, false)
+    }
+
+    /// [`run`](Self::run) that also stops right after the lazy timing fold
+    /// that records the first detected error, then finalizes and reports.
+    ///
+    /// Exact for detection-only classification (determinism invariant 13):
+    /// folds run in seal order, so the first recorded error is the one with
+    /// the lowest `seal_seq` that a full run would report as
+    /// [`RunReport::first_error`], and its `confirm_time` is a prefix
+    /// maximum over finish times that are already folded. Everything after
+    /// that point — instruction count, final state, delays — is cut short,
+    /// so recovery runs and experiments keep [`run`](Self::run).
+    pub fn run_until_detected(&mut self, max_instrs: u64) -> RunReport {
+        self.drive(max_instrs, true)
+    }
+
+    /// The driver loop behind [`run`](Self::run) and
+    /// [`run_until_detected`](Self::run_until_detected).
+    fn drive(&mut self, max_instrs: u64, stop_at_detection: bool) -> RunReport {
         let mut n = 0u64;
         let mut crashed = false;
         while n < max_instrs {
@@ -275,13 +295,14 @@ impl PairedSystem {
                     self.core.note_system_jump(t);
                 }
             }
-            // One basic block per call; degrades to exactly one legacy
-            // `step` when block execution is off or faults are armed, so
-            // this single driver loop covers both paths.
+            // One basic block per call, cut short at the next armed
+            // fault's strike; degrades to exactly one legacy `step` when
+            // block execution is off or a fault is due, so this single
+            // driver loop covers both paths.
             match self.core.step_block(&mut self.hier, &mut self.det, max_instrs - n) {
                 Ok(out) => {
                     n += out.instrs;
-                    if out.halted {
+                    if out.halted || (stop_at_detection && !self.det.errors.is_empty()) {
                         break;
                     }
                 }

@@ -650,8 +650,23 @@ fn run_trial(
 ) -> (Outcome, Option<Time>) {
     let mut sys = PairedSystem::new_with_scratch(cfg.system, &golden.program, scratch);
     arm_plan(&mut sys, plan);
-    let report = sys.run(cfg.instrs);
-    let outcome = if report.detected() {
+    // A detection fixes the outcome and its latency: stop there (see
+    // `PairedSystem::run_until_detected`).
+    let report = sys.run_until_detected(cfg.instrs);
+    let outcome = classify(&sys, &report, golden);
+    sys.recycle_into(scratch);
+    outcome
+}
+
+/// Detection-only classification of a finished trial against the golden
+/// run: detected (with the first error's confirmation time as latency),
+/// else crashed, else SDC or masked by final state and instruction count.
+fn classify(
+    sys: &PairedSystem,
+    report: &paradet_core::RunReport,
+    golden: &Golden,
+) -> (Outcome, Option<Time>) {
+    if report.detected() {
         let latency = report.first_error().map(|e| e.confirm_time.saturating_sub(Time::from_fs(0)));
         (Outcome::Detected, latency)
     } else if report.crashed {
@@ -667,9 +682,7 @@ fn run_trial(
         } else {
             (Outcome::Masked, None)
         }
-    };
-    sys.recycle_into(scratch);
-    outcome
+    }
 }
 
 /// Runs one trial under the detect → rollback → re-execute driver and
@@ -740,7 +753,7 @@ pub fn run_overdetection_trials(cfg: &CampaignConfig, trials: u64) -> (u64, u64)
         let mut rng = StdRng::seed_from_u64(derive_seed(cfg.seed, OVERDETECTION_STREAM, t));
         let mut sys = PairedSystem::new_with_scratch(cfg.system, &program, scratch);
         sys.arm_log_fault(rng.gen_range(0..4), rng.gen_range(0..64), rng.gen_range(0..64));
-        let report = sys.run(cfg.instrs);
+        let report = sys.run_until_detected(cfg.instrs);
         let fp = report.detected();
         sys.recycle_into(scratch);
         fp
@@ -817,6 +830,47 @@ mod tests {
         // in which case the replay still validates.
         assert!(fp * 2 >= n, "expected mostly false positives, got {fp}/{n}");
         assert!(fp >= 1);
+    }
+
+    /// The early-stopping block-engine trial must classify every fault
+    /// exactly like the reference: the legacy per-instruction engine
+    /// (`with_block_exec(false)`) run to the full budget, then the same
+    /// classification. Pins `detect_latency`, which no coverage table
+    /// shows, alongside the outcome.
+    #[test]
+    fn trials_match_full_legacy_runs() {
+        let sites = FaultSite::extended();
+        let kinds = [
+            FaultKind::Transient,
+            FaultKind::Intermittent { period: 300, count: 3 },
+            FaultKind::Permanent,
+        ];
+        let base = CampaignConfig { instrs: 3_000, ..CampaignConfig::default() };
+        let golden = prepare_golden(&base);
+        let mut scratch = SimScratch::new();
+        let mut rng = StdRng::seed_from_u64(0x7e57);
+        let mut detected = 0;
+        for case in 0..40 {
+            let site = sites[rng.gen_range(0..sites.len())];
+            let trial = rng.gen_range(0..1_000);
+            let cfg = CampaignConfig {
+                seed: rng.gen_range(0..1_000),
+                fault_kind: kinds[rng.gen_range(0..kinds.len())],
+                ..base.clone()
+            };
+            let got = run_point(&cfg, &golden, site, trial, &mut scratch);
+
+            let plan = trial_plan(cfg.seed, site, trial, cfg.instrs, cfg.fault_kind);
+            let mut sys =
+                PairedSystem::new_shared(cfg.system.with_block_exec(false), &golden.program);
+            arm_plan(&mut sys, &plan);
+            let report = sys.run(cfg.instrs);
+            let want = classify(&sys, &report, &golden);
+            let ctx = format!("case {case}: {site:?} trial {trial} seed {} {:?}", cfg.seed, plan);
+            assert_eq!((got.outcome, got.detect_latency), want, "{ctx}");
+            detected += (want.0 == Outcome::Detected) as u32;
+        }
+        assert!(detected >= 10, "too few detections to exercise the early stop: {detected}");
     }
 
     #[test]

@@ -106,9 +106,10 @@ pub struct OooConfig {
     /// forces the legacy per-instruction path (`OooCore::step`), kept as the
     /// bit-identity reference exactly like `event_skip`'s tick path; the
     /// two are asserted identical by the block-vs-legacy suite in
-    /// `tests/block_exec_identity.rs`. Runs with faults armed (or a
-    /// stuck-at fault latched, or RMT duplication) fall back to the legacy
-    /// path automatically so fault-injection scan points are preserved.
+    /// `tests/block_exec_identity.rs`. The instruction an armed fault is
+    /// due at (and every retirement under RMT duplication) still takes the
+    /// legacy path, so fault-injection scan points are preserved; faults
+    /// not yet due and a latched stuck-at fault ride the block engine.
     pub block_exec: bool,
 }
 

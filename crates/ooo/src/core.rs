@@ -32,8 +32,8 @@ use crate::predictor::TournamentPredictor;
 use crate::resources::{FifoOccupancy, SlotPool, UnorderedOccupancy};
 use crate::types::{CommitEvent, CommitGate, DetectionSink, MemEffect};
 use paradet_isa::{
-    ArchState, DstReg, ExecError, Instruction, MemKind, MemWidth, NondetSource, Program, Reg,
-    SrcReg, UopClass, UopKind, MAX_UOPS_PER_INSN, NO_REG_SLOT,
+    ArchState, DstReg, ExecError, Instruction, MemKind, MemWidth, MicroOp, NondetSource, Program,
+    Reg, SrcReg, UopClass, UopKind, MAX_UOPS_PER_INSN, NO_REG_SLOT,
 };
 use paradet_mem::{CycleDiv, MemHier, Time};
 use std::collections::VecDeque;
@@ -136,6 +136,43 @@ struct InflightStore {
     commit: u64,
 }
 
+/// Raises the resource-event horizon to `cycle`. A free function over the
+/// field, so the timing paths can call it while they hold a borrow of the
+/// shared program.
+#[inline]
+fn note_event(horizon: &mut u64, cycle: u64) {
+    if cycle > *horizon {
+        *horizon = cycle;
+    }
+}
+
+/// Hard stuck-at ALU fault: forces `bit` to `value` in the result of every
+/// simple integer-ALU micro-op of one instruction that issued on the struck
+/// unit (`alu_units[k]` is the unit micro-op `k` took, `None` for micro-ops
+/// that did not issue on an integer ALU as a simple ALU op). Shared by
+/// [`OooCore::step`] and [`OooCore::step_block`], which both run it right
+/// after the instruction's functional execution.
+fn apply_stuck(
+    state: &mut ArchState,
+    (unit, bit, value): (u8, u8, bool),
+    int_alus: usize,
+    uops: &[MicroOp],
+    alu_units: &[Option<usize>; MAX_UOPS_PER_INSN],
+) {
+    for (k, u) in uops.iter().enumerate() {
+        if let (UopKind::IntAlu { .. }, Some(used)) = (u.kind, alu_units[k]) {
+            if used == unit as usize % int_alus {
+                if let Some(DstReg::Int(r)) = u.dst {
+                    let mask = 1u64 << (bit & 63);
+                    let v = state.x(r);
+                    let forced = if value { v | mask } else { v & !mask };
+                    state.set_x(r, forced);
+                }
+            }
+        }
+    }
+}
+
 struct SuppliedNondet(Option<u64>);
 
 impl NondetSource for SuppliedNondet {
@@ -193,6 +230,9 @@ pub struct OooCore {
     crashed: Option<ExecError>,
     faults: Vec<ArmedFault>,
     stuck: Option<(u8, u8, bool)>,
+    /// Instructions retired through the per-instruction [`OooCore::step`]
+    /// (see [`OooCore::stepped_instrs`]).
+    stepped: u64,
     /// The resource-event horizon: no pool busy-until, occupancy release,
     /// register wakeup, line fill or gate recorded so far lies beyond this
     /// cycle. A micro-op dispatching at or past it observes a fully
@@ -257,6 +297,7 @@ impl OooCore {
             crashed: None,
             faults: Vec::new(),
             stuck: None,
+            stepped: 0,
             horizon: 0,
             stores_commit_max: 0,
             ff_until: 0,
@@ -319,6 +360,16 @@ impl OooCore {
     /// into a re-execution attempt.
     pub fn unfired_faults(&self) -> &[ArmedFault] {
         &self.faults
+    }
+
+    /// Instructions retired through the per-instruction [`step`](Self::step)
+    /// path so far: every retirement when block execution is off or RMT
+    /// duplication is on, otherwise only the instructions
+    /// [`step_block`](Self::step_block) hands to `step` because an armed
+    /// fault is due there. A deterministic work counter — kept out of
+    /// [`CoreStats`] because it depends on the engine, not on the model.
+    pub fn stepped_instrs(&self) -> u64 {
+        self.stepped
     }
 
     /// The cycle at (and after) which every modeled core resource is idle:
@@ -418,15 +469,7 @@ impl OooCore {
         if cycle > from {
             self.stats.cycles_skipped += cycle - from;
             self.ff_until = self.ff_until.max(cycle);
-            self.note_event(cycle);
-        }
-    }
-
-    /// Raises the resource-event horizon to `cycle`.
-    #[inline]
-    fn note_event(&mut self, cycle: u64) {
-        if cycle > self.horizon {
-            self.horizon = cycle;
+            note_event(&mut self.horizon, cycle);
         }
     }
 
@@ -496,13 +539,13 @@ impl OooCore {
 
         // ---- Fetch timing -------------------------------------------------
         let (_, fslot) = self.fetch_slots.take(self.next_fetch_cycle, 1);
-        self.note_event(fslot + 1);
+        note_event(&mut self.horizon, fslot + 1);
         let line = pc & !63;
         if line != self.last_fetch_line {
             let done = hier.ifetch(line, self.to_time(fslot));
             self.line_ready = self.to_cycle(done);
             self.last_fetch_line = line;
-            self.note_event(self.line_ready);
+            note_event(&mut self.horizon, self.line_ready);
         }
         let fetch_cycle = fslot.max(self.line_ready);
 
@@ -536,8 +579,7 @@ impl OooCore {
         // ---- Pre-compute memory addresses from the pre-state --------------
         // Micro-ops come pre-cracked from the shared program (computed once
         // at build); nothing on this per-instruction path heap-allocates.
-        let program = Arc::clone(&self.program);
-        let uops = program.uops_at(pc).expect("fetched instruction has micro-ops");
+        let uops = self.program.uops_at(pc).expect("fetched instruction has micro-ops");
         let mut uop_addrs = [None::<u64>; MAX_UOPS_PER_INSN];
         for (k, u) in uops.iter().enumerate() {
             uop_addrs[k] = match u.kind {
@@ -662,7 +704,7 @@ impl OooCore {
                     }
                 }
                 let (_, disp) = self.dispatch_slots.take(disp, 1);
-                self.note_event(disp + 1);
+                note_event(&mut self.horizon, disp + 1);
 
                 // Operand readiness (RAW through renamed registers).
                 let ready = self.srcs_ready(&u.srcs).max(disp + 1);
@@ -798,7 +840,7 @@ impl OooCore {
                 // One horizon raise covers everything this micro-op booked:
                 // unit busy-until ≤ complete, issue slot ≤ complete, wakeup
                 // (reg_ready) = complete, window releases ≤ complete + 1.
-                self.note_event(complete + 1);
+                note_event(&mut self.horizon, complete + 1);
 
                 if is_dup {
                     // The duplicate occupies window entries until it commits
@@ -935,21 +977,8 @@ impl OooCore {
         if let Some(bit) = pc_flip {
             self.state.pc ^= 1u64 << (bit % 21).max(2);
         }
-        // Hard stuck-at ALU fault: applies to every simple int-ALU op whose
-        // assigned unit matches.
-        if let Some((unit, bit, value)) = self.stuck {
-            for (k, u) in uops.iter().enumerate() {
-                if let (UopKind::IntAlu { .. }, Some(used)) = (u.kind, alu_units[k]) {
-                    if used == unit as usize % self.cfg.int_alus {
-                        if let Some(DstReg::Int(r)) = u.dst {
-                            let mask = 1u64 << (bit & 63);
-                            let v = self.state.x(r);
-                            let forced = if value { v | mask } else { v & !mask };
-                            self.state.set_x(r, forced);
-                        }
-                    }
-                }
-            }
+        if let Some(stuck) = self.stuck {
+            apply_stuck(&mut self.state, stuck, self.cfg.int_alus, uops, &alu_units);
         }
 
         // ---- Load-forwarding-unit capture events ----------------------------
@@ -1056,7 +1085,7 @@ impl OooCore {
                     let done = hier.dwrite(pc, e.addr, self.to_time(wb_start));
                     let done_cycle = self.to_cycle(done);
                     self.write_buffer.set_busy(wb_slot, done_cycle);
-                    self.note_event(done_cycle);
+                    note_event(&mut self.horizon, done_cycle);
                 }
             }
             let (_, slot) = self.commit_slots.take(commit, 1);
@@ -1081,7 +1110,7 @@ impl OooCore {
                         self.stats.gate_pause_cycles += pause;
                         self.commit_gate = commit + pause;
                         self.dispatch_gate = commit + pause;
-                        self.note_event(commit + pause);
+                        note_event(&mut self.horizon, commit + pause);
                         break;
                     }
                     CommitGate::Retry(t) => {
@@ -1102,7 +1131,7 @@ impl OooCore {
                 }
             }
             self.last_commit = commit;
-            self.note_event(commit + 1);
+            note_event(&mut self.horizon, commit + 1);
 
             // Record occupancy releases now that commit is final.
             self.rob.push(commit);
@@ -1142,6 +1171,7 @@ impl OooCore {
 
         self.seq += uops.len() as u64;
         self.instr_index += 1;
+        self.stepped += 1;
         self.stats.committed_instrs += 1;
         self.stats.last_commit_cycle = self.last_commit;
         if step.halted {
@@ -1163,9 +1193,13 @@ impl OooCore {
     /// are asserted bit-identical by the block-vs-legacy suite.
     ///
     /// Falls back to exactly one legacy [`step`](Self::step) call whenever
-    /// `OooConfig::block_exec` is off, faults are armed (the legacy path
-    /// carries the per-instruction fault scan points), a stuck-at fault has
-    /// latched, or RMT duplication is on.
+    /// `OooConfig::block_exec` is off, RMT duplication is on, or an armed
+    /// fault is due at the current instruction (`at_instr <= instr_index`:
+    /// the legacy path carries the per-instruction fault scan points).
+    /// Faults armed for later instructions do not force the fallback: the
+    /// walk is capped at the earliest strike, so the struck instruction
+    /// starts the next call. A latched stuck-at ALU fault is applied here
+    /// exactly as in `step`, through the same helper.
     ///
     /// # Errors
     ///
@@ -1185,19 +1219,20 @@ impl OooCore {
         if let Some(e) = self.crashed {
             return Err(CoreError::Crashed(e));
         }
-        if !self.cfg.block_exec
-            || !self.faults.is_empty()
-            || self.stuck.is_some()
-            || self.cfg.rmt_duplicate
-        {
+        // Armed faults that are not yet due ride the block engine: the walk
+        // stops short of the earliest strike, whose instruction then takes
+        // the per-instruction scan point in `step`.
+        let next_strike = self.faults.iter().map(|f| f.at_instr).min().unwrap_or(u64::MAX);
+        if !self.cfg.block_exec || self.cfg.rmt_duplicate || next_strike <= self.instr_index {
             let out = self.step(hier, sink)?;
             return Ok(BlockOutcome { instrs: 1, halted: out.halted });
         }
+        let max_instrs = max_instrs.min(next_strike - self.instr_index);
         if max_instrs == 0 {
             return Ok(BlockOutcome { instrs: 0, halted: false });
         }
 
-        let program = Arc::clone(&self.program);
+        let program = &*self.program;
         let lat = self.cfg.lat;
         let mut done = 0u64;
         let (block, off) = match program.block_at(self.state.pc) {
@@ -1220,13 +1255,13 @@ impl OooCore {
 
                 // ---- Fetch timing (as in `step`) ----------------------
                 let (_, fslot) = self.fetch_slots.take(self.next_fetch_cycle, 1);
-                self.note_event(fslot + 1);
+                note_event(&mut self.horizon, fslot + 1);
                 let line = pc & !63;
                 if line != self.last_fetch_line {
                     let done_t = hier.ifetch(line, self.to_time(fslot));
                     self.line_ready = self.to_cycle(done_t);
                     self.last_fetch_line = line;
-                    self.note_event(self.line_ready);
+                    note_event(&mut self.horizon, self.line_ready);
                 }
                 let fetch_cycle = fslot.max(self.line_ready);
 
@@ -1278,6 +1313,7 @@ impl OooCore {
                 // ---- Per-micro-op timing ------------------------------
                 let mut completes = [0u64; MAX_UOPS_PER_INSN];
                 let mut resolve_cycle: Option<u64> = None;
+                let mut alu_units = [None::<usize>; MAX_UOPS_PER_INSN];
                 let mut nondet_value: Option<u64> = None;
                 for (k, u) in uops.iter().enumerate() {
                     let class = pre[k].class;
@@ -1316,13 +1352,14 @@ impl OooCore {
                         }
                     }
                     let (_, disp) = self.dispatch_slots.take(disp, 1);
-                    self.note_event(disp + 1);
+                    note_event(&mut self.horizon, disp + 1);
 
                     let ready = self.pre_srcs_ready(pre[k].srcs).max(disp + 1);
 
                     let complete = match class {
                         UopClass::IntAlu => {
-                            let (_, start) = self.int_alus.take(ready, 1);
+                            let (unit, start) = self.int_alus.take(ready, 1);
+                            alu_units[k] = Some(unit);
                             let (_, start) = self.issue_slots.take(start, 1);
                             start + lat.int_alu
                         }
@@ -1423,7 +1460,7 @@ impl OooCore {
                             start + 1
                         }
                     };
-                    self.note_event(complete + 1);
+                    note_event(&mut self.horizon, complete + 1);
                     completes[k] = complete;
                     self.iq.push(complete);
                     let dst_slot = pre[k].dst;
@@ -1435,6 +1472,9 @@ impl OooCore {
                 // ---- Functional execution (oracle) --------------------
                 let mut nondet = SuppliedNondet(nondet_value);
                 let step = self.state.step_decoded(insn, &mut hier.data, &mut nondet);
+                if let Some(stuck) = self.stuck {
+                    apply_stuck(&mut self.state, stuck, self.cfg.int_alus, uops, &alu_units);
+                }
 
                 let mut mem_effects =
                     [MemEffect { is_store: false, addr: 0, value: 0, width: MemWidth::B, old: 0 };
@@ -1549,7 +1589,7 @@ impl OooCore {
                             let done_t = hier.dwrite(pc, e.addr, self.to_time(wb_start));
                             let done_cycle = self.to_cycle(done_t);
                             self.write_buffer.set_busy(wb_slot, done_cycle);
-                            self.note_event(done_cycle);
+                            note_event(&mut self.horizon, done_cycle);
                         }
                     }
                     let (_, slot) = self.commit_slots.take(commit, 1);
@@ -1574,7 +1614,7 @@ impl OooCore {
                                 self.stats.gate_pause_cycles += pause;
                                 self.commit_gate = commit + pause;
                                 self.dispatch_gate = commit + pause;
-                                self.note_event(commit + pause);
+                                note_event(&mut self.horizon, commit + pause);
                                 break;
                             }
                             CommitGate::Retry(t) => {
@@ -1591,7 +1631,7 @@ impl OooCore {
                         }
                     }
                     self.last_commit = commit;
-                    self.note_event(commit + 1);
+                    note_event(&mut self.horizon, commit + 1);
 
                     self.rob.push(commit);
                     if pre[k].class == UopClass::Load {
@@ -1652,8 +1692,8 @@ impl OooCore {
     /// Returns the number of instructions retired by this call; inspect
     /// [`halted`](Self::halted)/[`crashed`](Self::crashed) for the cause.
     /// Drives [`step_block`](Self::step_block), which itself degrades to
-    /// the legacy per-instruction path when `OooConfig::block_exec` is off
-    /// or faults are armed.
+    /// the legacy per-instruction path when `OooConfig::block_exec` is off,
+    /// RMT duplication is on, or an armed fault is due.
     pub fn run<S: DetectionSink + ?Sized>(
         &mut self,
         hier: &mut MemHier,

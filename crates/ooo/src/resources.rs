@@ -25,13 +25,11 @@
 //!
 //! The issue queue is the one structure whose naive implementation *was*
 //! per-cycle-shaped: it re-scanned (and compacted) all recorded releases on
-//! every acquisition. [`UnorderedOccupancy`] now keeps a lazy min-heap and
-//! only pops entries that actually release — identical results (pinned by a
-//! reference-model proptest below), amortized O(log n) instead of O(n) per
-//! acquisition.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! every acquisition. [`UnorderedOccupancy`] now keeps its releases in an
+//! ascending sorted buffer and only pops entries that actually release —
+//! identical results (pinned by a reference-model test below). Releases
+//! arrive nearly in order, so the insertion scan from the back is short and
+//! both ends are O(1) in the common case.
 
 /// A pool of `n` identical units, each usable by one operation at a time.
 #[derive(Debug, Clone)]
@@ -52,6 +50,9 @@ impl SlotPool {
 
     /// Acquires the earliest-available unit no earlier than `earliest`,
     /// holding it for `occupancy` cycles. Returns `(unit_index, start)`.
+    /// Ties go to the lowest unit index: a stuck-at fault names its unit,
+    /// so unit identity is part of the model.
+    #[inline]
     pub fn take(&mut self, earliest: u64, occupancy: u64) -> (usize, u64) {
         let mut best = 0;
         for i in 1..self.free_at.len() {
@@ -139,6 +140,7 @@ impl FifoOccupancy {
 
     /// Returns the earliest cycle ≥ `earliest` at which an entry is free,
     /// draining entries that have released by then.
+    #[inline]
     pub fn acquire(&mut self, earliest: u64) -> u64 {
         let mut t = earliest;
         // Drain entries already released at t.
@@ -162,6 +164,7 @@ impl FifoOccupancy {
     /// releases are recorded (e.g. the micro-ops of one macro-op);
     /// [`acquire`](Self::acquire) drains the excess by waiting on the
     /// oldest entries.
+    #[inline]
     pub fn push(&mut self, release_cycle: u64) {
         if self.len == self.buf.len() {
             self.grow();
@@ -223,15 +226,18 @@ impl FifoOccupancy {
 /// A bounded buffer whose entries release out of order (the issue queue:
 /// micro-ops leave when they issue, not in age order).
 ///
-/// Releases live in a lazy min-heap: an acquisition pops only the entries
-/// that actually release by its start cycle, instead of re-scanning and
-/// compacting the whole buffer per call (the old `Vec::retain` shape, kept
-/// as the reference model in this module's tests). Results are identical;
-/// the per-acquisition cost drops from O(n) to amortized O(log n).
+/// Releases live in an ascending sorted buffer: an acquisition pops only the
+/// entries that actually release by its start cycle off the front, instead
+/// of re-scanning and compacting the whole buffer per call (the old
+/// `Vec::retain` shape, kept as the reference model in this module's
+/// tests). A push inserts by scanning from the back, where nearly every
+/// release lands.
 #[derive(Debug, Clone)]
 pub struct UnorderedOccupancy {
     cap: usize,
-    release: BinaryHeap<Reverse<u64>>,
+    /// The [`FifoOccupancy`] ring, with every insertion kept in ascending
+    /// order so its front is always the earliest release.
+    release: FifoOccupancy,
 }
 
 impl UnorderedOccupancy {
@@ -242,51 +248,65 @@ impl UnorderedOccupancy {
     /// Panics if `cap == 0`.
     pub fn new(cap: usize) -> UnorderedOccupancy {
         assert!(cap > 0, "occupancy buffer needs at least one entry");
-        UnorderedOccupancy { cap, release: BinaryHeap::with_capacity(cap) }
+        UnorderedOccupancy { cap, release: FifoOccupancy::new(cap) }
     }
 
     /// Returns the earliest cycle ≥ `earliest` at which an entry is free,
     /// removing whichever entry releases first if the buffer is full.
+    #[inline]
     pub fn acquire(&mut self, earliest: u64) -> u64 {
         let mut t = earliest;
-        while let Some(&Reverse(min)) = self.release.peek() {
-            if min <= t {
-                // Released by t: drop it.
-                self.release.pop();
-            } else if self.release.len() >= self.cap {
+        while let Some(min) = self.release.next_event_cycle() {
+            if min > t {
+                if self.release.len < self.cap {
+                    break;
+                }
                 // Full and nothing released yet: wait for the earliest
-                // release (min > t, so the max is min).
+                // release.
                 t = min;
-                self.release.pop();
-            } else {
-                break;
             }
+            self.release.pop_front();
         }
         t
     }
 
     /// Records the release time of the acquired entry (see
     /// [`FifoOccupancy::push`] on transient over-capacity).
+    #[inline]
     pub fn push(&mut self, release_cycle: u64) {
-        self.release.push(Reverse(release_cycle));
+        let r = &mut self.release;
+        if r.len == r.buf.len() {
+            r.grow();
+        }
+        // Shift every later release up one slot, scanning from the back.
+        let mut i = r.len;
+        while i > 0 {
+            let prev = r.buf[(r.head + i - 1) & r.mask];
+            if prev <= release_cycle {
+                break;
+            }
+            r.buf[(r.head + i) & r.mask] = prev;
+            i -= 1;
+        }
+        r.buf[(r.head + i) & r.mask] = release_cycle;
+        r.len += 1;
     }
 
     /// The next cycle at which any entry releases, or `None` if the buffer
     /// is empty. An acquisition strictly before this drains nothing.
     pub fn next_event_cycle(&self) -> Option<u64> {
-        self.release.peek().map(|&Reverse(t)| t)
+        self.release.next_event_cycle()
     }
 
-    /// The recorded, not-yet-drained release cycles, in no particular
-    /// order.
+    /// The recorded, not-yet-drained release cycles, in ascending order.
     pub fn releases(&self) -> impl Iterator<Item = u64> + '_ {
-        self.release.iter().map(|&Reverse(t)| t)
+        self.release.releases()
     }
 
     /// Clears the buffer (see [`FifoOccupancy::reset`] on the quiescent
     /// fast path).
     pub fn reset(&mut self) {
-        self.release.clear();
+        self.release.reset();
     }
 }
 
@@ -476,7 +496,8 @@ mod tests {
 
     /// The reference model for `UnorderedOccupancy`: the original
     /// scan-and-compact implementation, bit-for-bit the pre-event-skip
-    /// semantics. The lazy-heap version must agree on every acquisition.
+    /// semantics. The sorted-buffer version must agree on every
+    /// acquisition.
     struct RefUnordered {
         cap: usize,
         release: Vec<u64>,
@@ -498,7 +519,7 @@ mod tests {
     }
 
     #[test]
-    fn lazy_heap_matches_reference_scan() {
+    fn sorted_buffer_matches_reference_scan() {
         // Deterministic pseudo-random op streams over several geometries.
         let mut z = 0x1234_5678_9abc_def0u64;
         let mut rng = move || {
@@ -509,7 +530,7 @@ mod tests {
             x ^ (x >> 31)
         };
         for cap in [1usize, 2, 3, 8, 32] {
-            let mut lazy = UnorderedOccupancy::new(cap);
+            let mut sorted = UnorderedOccupancy::new(cap);
             let mut reference = RefUnordered { cap, release: Vec::new() };
             let mut t = 0u64;
             for _ in 0..2000 {
@@ -517,11 +538,11 @@ mod tests {
                 // Mostly-monotone acquire times with occasional jumps back,
                 // as the core's per-uop dispatch stream produces.
                 t = (t + r % 7).saturating_sub((r >> 8) % 5 % 2 * 3);
-                let a = lazy.acquire(t);
+                let a = sorted.acquire(t);
                 let b = reference.acquire(t);
                 assert_eq!(a, b, "acquire({t}) diverged at cap {cap}");
                 let release = a + 1 + (r >> 16) % 40;
-                lazy.push(release);
+                sorted.push(release);
                 reference.release.push(release);
             }
         }
