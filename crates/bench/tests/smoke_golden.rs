@@ -59,8 +59,8 @@ fn smoke_output_matches_committed_golden() {
     let out = Path::new(env!("CARGO_TARGET_TMPDIR")).join("smoke-golden");
     let _ = fs::remove_dir_all(&out);
     // PARADET_INSTRS would change the budget; every other knob the harness
-    // reads (threads, block execution, scheduling policy) is covered by a
-    // determinism invariant and must leave the output unchanged.
+    // reads (threads, scheduling policy) is covered by a determinism
+    // invariant and must leave the output unchanged.
     let run = Command::new(env!("CARGO_BIN_EXE_run_all"))
         .arg("--smoke")
         .env("PARADET_OUT", &out)

@@ -9,9 +9,9 @@
 //! the two for callers that want the classic one-call interface.
 
 use crate::replay::{CheckError, CheckOutcome, ReplayError, ReplaySource};
-use crate::trace::{encode_dst, encode_srcs, ReplayTrace};
+use crate::trace::ReplayTrace;
 use paradet_isa::{
-    ArchState, Instruction, MemWidth, MemoryIface, Program, UopClass, UopKind, N_UOP_CLASSES,
+    ArchState, Instruction, MemWidth, MemoryIface, Program, UopClass, N_UOP_CLASSES,
 };
 use paradet_mem::{Freq, MemHier, Time};
 
@@ -68,15 +68,6 @@ pub struct CheckerConfig {
     pub register_check_cycles: u64,
     /// Functional-unit latencies.
     pub lat: CheckerLatencies,
-    /// Pre-decoded basic-block replay (default on). [`replay_segment`] walks
-    /// the program's basic blocks and emits trace micro-ops straight from the
-    /// pre-decoded superinstruction stream ([`Program::pre_uops_of`]):
-    /// per-instruction fetch/bounds checks and the nested micro-op latency
-    /// match are hoisted into a per-call `UopClass` latency table. `false`
-    /// forces the legacy per-instruction path, kept as the bit-identity
-    /// reference; the two produce byte-identical [`ReplayTrace`]s and
-    /// verdicts, asserted by `tests/block_exec_identity.rs`.
-    pub block_exec: bool,
 }
 
 impl CheckerConfig {
@@ -87,7 +78,6 @@ impl CheckerConfig {
             pipeline_depth: 4,
             register_check_cycles: 16,
             lat: CheckerLatencies::default(),
-            block_exec: true,
         }
     }
 }
@@ -364,75 +354,69 @@ pub fn replay_segment(
 
     let mut log = LogMemory { src: source, error: None, loads: 0, stores: 0, passed: 0 };
 
-    if cfg.block_exec {
-        // Block-stepped replay: one [`Program::block_at`] lookup per basic
-        // block instead of one `instr_at` bounds-check per instruction, and
-        // trace micro-ops emitted straight from the pre-decoded stream. A
-        // wild control transfer (the only way `instr_at` could fail mid-run)
-        // surfaces as a failed block lookup at the next block boundary —
-        // the same `CheckError::Exec` the legacy path raises.
-        let lut = class_latency_lut(&cfg.lat);
-        let text = task.program.text();
-        'blocks: while instrs < task.instr_count && !state.halted {
-            let Some((block, off)) = task.program.block_at(state.pc) else {
-                verdict = Err(CheckError::Exec);
-                break;
+    // Block-stepped replay: one [`Program::block_at`] lookup per basic
+    // block, and trace micro-ops emitted straight from the pre-decoded
+    // stream. A wild control transfer surfaces as a failed block lookup
+    // at the next block boundary: `CheckError::Exec`.
+    let lut = class_latency_lut(&cfg.lat);
+    let text = task.program.text();
+    'blocks: while instrs < task.instr_count && !state.halted {
+        let Some((block, off)) = task.program.block_at(state.pc) else {
+            verdict = Err(CheckError::Exec);
+            break;
+        };
+        let first = (block.first + off) as usize;
+        let end = (block.first + block.len) as usize;
+        for (i, &insn) in text.iter().enumerate().take(end).skip(first) {
+            let pc = state.pc;
+            debug_assert_eq!(
+                pc,
+                paradet_isa::TEXT_BASE + i as u64 * 4,
+                "architectural PC out of sync with block walk"
+            );
+            let line = pc & !63;
+            let new_line = if line != last_fetch_line {
+                last_fetch_line = line;
+                Some(line)
+            } else {
+                None
             };
-            let first = (block.first + off) as usize;
-            let end = (block.first + block.len) as usize;
-            for (i, &insn) in text.iter().enumerate().take(end).skip(first) {
-                let pc = state.pc;
-                debug_assert_eq!(
-                    pc,
-                    paradet_isa::TEXT_BASE + i as u64 * 4,
-                    "architectural PC out of sync with block walk"
-                );
-                let line = pc & !63;
-                let new_line = if line != last_fetch_line {
-                    last_fetch_line = line;
-                    Some(line)
-                } else {
-                    None
-                };
-                out_trace.begin_op(new_line);
-                for p in task.program.pre_uops_of(i) {
-                    out_trace.push_uop(p.srcs, p.dst, lut[p.class as usize]);
-                }
+            out_trace.begin_op(new_line);
+            for p in task.program.pre_uops_of(i) {
+                out_trace.push_uop(p.srcs, p.dst, lut[p.class as usize]);
+            }
 
-                let passed_before = log.passed;
-                match insn {
-                    Instruction::RdCycle { rd } => {
-                        match log.src.replay_nondet(Time::ZERO) {
-                            Ok(v) => {
-                                log.passed += 1;
-                                state.set_x(rd, v);
-                            }
-                            Err(e) => {
-                                log.error = Some(e);
-                                state.set_x(rd, 0);
-                            }
+            let passed_before = log.passed;
+            match insn {
+                Instruction::RdCycle { rd } => {
+                    match log.src.replay_nondet(Time::ZERO) {
+                        Ok(v) => {
+                            log.passed += 1;
+                            state.set_x(rd, v);
                         }
-                        state.pc += 4;
-                        state.retired += 1;
+                        Err(e) => {
+                            log.error = Some(e);
+                            state.set_x(rd, 0);
+                        }
                     }
-                    insn => {
-                        state.step_decoded(insn, &mut log, &mut paradet_isa::NoNondet);
-                    }
+                    state.pc += 4;
+                    state.retired += 1;
                 }
-                instrs += 1;
-                out_trace.set_entries((log.passed - passed_before) as u8);
-
-                if let Some(e) = log.error {
-                    verdict = Err(CheckError::Replay { at_instr: instrs - 1, error: e });
-                    break 'blocks;
-                }
-                if state.halted || instrs >= task.instr_count {
-                    break 'blocks;
+                insn => {
+                    state.step_decoded(insn, &mut log, &mut paradet_isa::NoNondet);
                 }
             }
+            instrs += 1;
+            out_trace.set_entries((log.passed - passed_before) as u8);
+
+            if let Some(e) = log.error {
+                verdict = Err(CheckError::Replay { at_instr: instrs - 1, error: e });
+                break 'blocks;
+            }
+            if state.halted || instrs >= task.instr_count {
+                break 'blocks;
+            }
         }
-    } else {
-        replay_legacy(cfg, &task, &mut state, &mut log, out_trace, &mut instrs, &mut verdict);
     }
 
     // End-of-segment validation (§IV-B): all entries consumed, then the
@@ -458,8 +442,8 @@ pub fn replay_segment(
     }
 }
 
-/// Per-[`UopClass`] checker latencies, indexed by the class discriminant —
-/// the block path's flattening of the legacy per-micro-op latency match.
+/// Per-[`UopClass`] checker latencies, indexed by the class discriminant:
+/// the per-micro-op latency match flattened into one table per call.
 fn class_latency_lut(lat: &CheckerLatencies) -> [u64; N_UOP_CLASSES] {
     let mut lut = [lat.int_alu; N_UOP_CLASSES];
     lut[UopClass::Mul as usize] = lat.mul;
@@ -473,111 +457,10 @@ fn class_latency_lut(lat: &CheckerLatencies) -> [u64; N_UOP_CLASSES] {
     lut
 }
 
-/// The legacy per-instruction replay loop, kept verbatim as the block path's
-/// bit-identity reference (`CheckerConfig::block_exec == false`).
-fn replay_legacy(
-    cfg: &CheckerConfig,
-    task: &SegmentTask<'_>,
-    state: &mut ArchState,
-    log: &mut LogMemory<'_>,
-    out_trace: &mut ReplayTrace,
-    instrs: &mut u64,
-    verdict: &mut Result<(), CheckError>,
-) {
-    let mut last_fetch_line = u64::MAX;
-    while *instrs < task.instr_count {
-        if state.halted {
-            break;
-        }
-        let pc = state.pc;
-        let insn = match task.program.instr_at(pc) {
-            Some(i) => *i,
-            None => {
-                *verdict = Err(CheckError::Exec);
-                break;
-            }
-        };
-        // One I-cache access per new line (the fold charges it).
-        let line = pc & !63;
-        let new_line = if line != last_fetch_line {
-            last_fetch_line = line;
-            Some(line)
-        } else {
-            None
-        };
-        out_trace.begin_op(new_line);
-
-        // Pre-cracked at program build: no per-instruction decode allocation
-        // on the replay path.
-        let uops = task.program.uops_at(pc).expect("fetched instruction has micro-ops");
-        for u in uops {
-            let lat = &cfg.lat;
-            let l = match u.kind {
-                UopKind::IntAlu { op, .. } => {
-                    if matches!(op, paradet_isa::AluOp::Div | paradet_isa::AluOp::Rem) {
-                        lat.div
-                    } else if op.is_mul_div() {
-                        lat.mul
-                    } else {
-                        lat.int_alu
-                    }
-                }
-                UopKind::FpAlu { op } => {
-                    if op.is_div() {
-                        lat.fp_div
-                    } else {
-                        lat.fp_alu
-                    }
-                }
-                UopKind::Fma => lat.fp_alu,
-                UopKind::FSqrt => lat.fsqrt,
-                UopKind::Mem { .. } => lat.log_read,
-                _ => lat.int_alu,
-            };
-            out_trace.push_uop(encode_srcs(&u.srcs), encode_dst(&u.dst), l);
-        }
-
-        // Functional replay of the whole macro-op, loads/stores routed to
-        // the log. RdCycle is the only nondeterministic op and performs no
-        // memory access, so it is special-cased around `ArchState::step`'s
-        // separate mem/nondet parameters.
-        let passed_before = log.passed;
-        let step = match insn {
-            paradet_isa::Instruction::RdCycle { rd } => {
-                match log.src.replay_nondet(Time::ZERO) {
-                    Ok(v) => {
-                        log.passed += 1;
-                        state.set_x(rd, v);
-                    }
-                    Err(e) => {
-                        log.error = Some(e);
-                        state.set_x(rd, 0);
-                    }
-                }
-                state.pc += 4;
-                state.retired += 1;
-                Ok(())
-            }
-            _ => state.step(task.program, &mut *log, &mut paradet_isa::NoNondet).map(|_| ()),
-        };
-        *instrs += 1;
-        out_trace.set_entries((log.passed - passed_before) as u8);
-
-        if let Some(e) = log.error {
-            *verdict = Err(CheckError::Replay { at_instr: *instrs - 1, error: e });
-            break;
-        }
-        if step.is_err() {
-            *verdict = Err(CheckError::Exec);
-            break;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use paradet_isa::{AluOp, FlatMemory, NoNondet, ProgramBuilder, Reg};
+    use paradet_isa::{AluOp, FReg, FlatMemory, FpuOp, NoNondet, ProgramBuilder, Reg, UopKind};
     use paradet_mem::MemConfig;
 
     /// A reference replay source backed by a vector of (is_store, addr,
@@ -869,33 +752,81 @@ mod tests {
         assert_eq!(core.stats.segments, 2);
     }
 
+    /// The per-class latency table the replay emits equals the
+    /// per-`UopKind` latency match it flattens, over every micro-op of every
+    /// shipped workload plus a program that uses every opcode.
     #[test]
-    fn block_replay_matches_legacy() {
-        let (program, start, end, count, mut src1) = golden_segment(test_program());
-        let mut src2 = VecSource { entries: src1.entries.clone(), pos: 0, check_times: Vec::new() };
-        let task = SegmentTask {
-            program: &program,
-            start: &start,
-            end: &end,
-            instr_count: count,
-            ready_at: Time::ZERO,
+    fn class_latency_lut_matches_uop_kinds() {
+        fn kind_latency(lat: &CheckerLatencies, kind: UopKind) -> u64 {
+            match kind {
+                UopKind::IntAlu { op: AluOp::Div | AluOp::Rem, .. } => lat.div,
+                UopKind::IntAlu { op, .. } if op.is_mul_div() => lat.mul,
+                UopKind::FpAlu { op } if op.is_div() => lat.fp_div,
+                UopKind::FpAlu { .. } | UopKind::Fma => lat.fp_alu,
+                UopKind::FSqrt => lat.fsqrt,
+                UopKind::Mem { .. } => lat.log_read,
+                _ => lat.int_alu,
+            }
+        }
+        let mut b = ProgramBuilder::new();
+        let (x1, x2, x3) = (Reg::X1, Reg::X2, Reg::X3);
+        let (f1, f2, f3) = (FReg::from_index(1), FReg::from_index(2), FReg::from_index(3));
+        let target = b.new_label();
+        for op in [
+            AluOp::Add,
+            AluOp::Sub,
+            AluOp::And,
+            AluOp::Or,
+            AluOp::Xor,
+            AluOp::Sll,
+            AluOp::Srl,
+            AluOp::Sra,
+            AluOp::Mul,
+            AluOp::Mulh,
+            AluOp::Div,
+            AluOp::Rem,
+            AluOp::Slt,
+            AluOp::Sltu,
+        ] {
+            b.op(op, x1, x2, x3).op_imm(op, x1, x2, 5);
+        }
+        for signed in [false, true] {
+            b.lw(x1, x2, 0, signed).lh(x1, x2, 0, signed).lb(x1, x2, 0, signed);
+        }
+        b.ld(x1, x2, 0).sd(x1, x2, 0).sw(x1, x2, 0).sb(x1, x2, 0);
+        b.ldp(x1, x3, x2, 0).stp(x1, x3, x2, 0).fld(f1, x2, 0).fsd(f1, x2, 0);
+        for op in [FpuOp::Add, FpuOp::Sub, FpuOp::Mul, FpuOp::Div, FpuOp::Min, FpuOp::Max] {
+            b.fop(op, f1, f2, f3);
+        }
+        b.fma(f1, f2, f3, f1).fsqrt(f1, f2);
+        b.fmv_from_int(f1, x1).fmv_to_int(x1, f1).fcvt_from_int(f1, x1).fcvt_to_int(x1, f1);
+        b.rdcycle(x1).nop();
+        b.beq(x1, x2, target).bne(x1, x2, target).blt(x1, x2, target);
+        b.bge(x1, x2, target).bltu(x1, x2, target).bgeu(x1, x2, target);
+        b.jal_to(Reg::X1, target).jalr(Reg::X0, x1, 0);
+        b.bind(target);
+        b.halt();
+        let mut programs = vec![b.build()];
+        programs.extend(paradet_workloads::Workload::all().iter().map(|w| w.build(4)));
+
+        // Distinct latencies, so a swapped table entry cannot hide.
+        let lat = CheckerLatencies {
+            int_alu: 1,
+            mul: 2,
+            div: 3,
+            fp_alu: 4,
+            fp_div: 5,
+            fsqrt: 6,
+            log_read: 7,
         };
-        let blk_cfg = CheckerConfig::default();
-        assert!(blk_cfg.block_exec);
-        let leg_cfg = CheckerConfig { block_exec: false, ..blk_cfg };
-        let mut t1 = ReplayTrace::new();
-        let mut t2 = ReplayTrace::new();
-        let blk = replay_segment(&blk_cfg, task, &mut src1, &mut t1);
-        let leg = replay_segment(&leg_cfg, task, &mut src2, &mut t2);
-        assert_eq!(format!("{blk:?}"), format!("{leg:?}"));
-        // And the timing folds agree cycle-for-cycle.
-        let mut hier = mk_hier(2);
-        let mut c1 = CheckerCore::new(0, blk_cfg);
-        let mut c2 = CheckerCore::new(1, leg_cfg);
-        let f1 = c1.fold_timing(Time::ZERO, &blk, &mut hier, |_, _| {});
-        let f2 = c2.fold_timing(Time::ZERO, &leg, &mut hier, |_, _| {});
-        assert_eq!(f1.finish_time, f2.finish_time);
-        assert_eq!(f1.result, Ok(()));
+        let lut = class_latency_lut(&lat);
+        for p in &programs {
+            for i in 0..p.len() {
+                for (u, pre) in p.uops_of(i).iter().zip(p.pre_uops_of(i)) {
+                    assert_eq!(lut[pre.class as usize], kind_latency(&lat, u.kind), "{u:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -19,12 +19,10 @@
 //! instr_count)`: it contains no times, so *when* (and on which host
 //! thread) the replay ran can never leak into simulated timing.
 
+use paradet_isa::NO_REG_SLOT;
+
 /// Sentinel line address meaning "no new I-line fetched before this op".
 const SAME_LINE: u64 = u64::MAX;
-
-/// Register-slot encoding: `0..32` integer, `32..64` floating-point,
-/// [`NO_REG`] absent.
-const NO_REG: u8 = u8::MAX;
 
 /// One replayed macro-op.
 #[derive(Debug, Clone, Copy)]
@@ -38,7 +36,9 @@ pub(crate) struct TraceOp {
 }
 
 /// Timing-relevant facts about one micro-op: where its operands come from,
-/// where its result lands, and how long it takes.
+/// where its result lands, and how long it takes. Register slots use the
+/// pre-decoded encoding (`0..32` integer, `32..64` floating-point,
+/// [`NO_REG_SLOT`] absent).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct TraceUop {
     srcs: [u8; 3],
@@ -132,7 +132,7 @@ impl TraceUop {
     pub(crate) fn srcs_ready(&self, reg_ready: &[u64; 64]) -> u64 {
         let mut ready = 0;
         for &s in &self.srcs {
-            if s != NO_REG {
+            if s != NO_REG_SLOT {
                 ready = ready.max(reg_ready[s as usize]);
             }
         }
@@ -141,7 +141,7 @@ impl TraceUop {
 
     /// Marks this uop's destination ready at `complete` in `reg_ready`.
     pub(crate) fn retire(&self, reg_ready: &mut [u64; 64], complete: u64) {
-        if self.dst != NO_REG {
+        if self.dst != NO_REG_SLOT {
             reg_ready[self.dst as usize] = complete;
         }
     }
@@ -152,34 +152,6 @@ impl TraceUop {
     }
 }
 
-/// Encodes a source register as a scoreboard slot.
-pub(crate) fn encode_src(s: &paradet_isa::SrcReg) -> u8 {
-    match s {
-        paradet_isa::SrcReg::Int(r) => r.index() as u8,
-        paradet_isa::SrcReg::Fp(r) => 32 + r.index() as u8,
-    }
-}
-
-/// Encodes an optional destination register as a scoreboard slot.
-pub(crate) fn encode_dst(d: &Option<paradet_isa::DstReg>) -> u8 {
-    match d {
-        Some(paradet_isa::DstReg::Int(r)) => r.index() as u8,
-        Some(paradet_isa::DstReg::Fp(r)) => 32 + r.index() as u8,
-        None => NO_REG,
-    }
-}
-
-/// Encodes a micro-op's sources as scoreboard slots.
-pub(crate) fn encode_srcs(srcs: &[Option<paradet_isa::SrcReg>; 3]) -> [u8; 3] {
-    let mut out = [NO_REG; 3];
-    for (o, s) in out.iter_mut().zip(srcs.iter()) {
-        if let Some(s) = s {
-            *o = encode_src(s);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,10 +160,10 @@ mod tests {
     fn trace_round_trips() {
         let mut t = ReplayTrace::new();
         t.begin_op(Some(0x1000));
-        t.push_uop([0, NO_REG, NO_REG], 1, 3);
+        t.push_uop([0, NO_REG_SLOT, NO_REG_SLOT], 1, 3);
         t.set_entries(1);
         t.begin_op(None);
-        t.push_uop([1, 2, NO_REG], NO_REG, 1);
+        t.push_uop([1, 2, NO_REG_SLOT], NO_REG_SLOT, 1);
 
         let mut lines = Vec::new();
         let mut lats = Vec::new();
@@ -213,12 +185,12 @@ mod tests {
     #[test]
     fn scoreboard_helpers() {
         let mut ready = [0u64; 64];
-        let u = TraceUop { srcs: [0, 40, NO_REG], dst: 5, lat: 7 };
+        let u = TraceUop { srcs: [0, 40, NO_REG_SLOT], dst: 5, lat: 7 };
         ready[40] = 9;
         assert_eq!(u.srcs_ready(&ready), 9);
         u.retire(&mut ready, 16);
         assert_eq!(ready[5], 16);
-        let nodst = TraceUop { srcs: [NO_REG; 3], dst: NO_REG, lat: 1 };
+        let nodst = TraceUop { srcs: [NO_REG_SLOT; 3], dst: NO_REG_SLOT, lat: 1 };
         assert_eq!(nodst.srcs_ready(&ready), 0);
         nodst.retire(&mut ready, 99); // no-op
         assert_eq!(ready.iter().filter(|&&c| c == 99).count(), 0);

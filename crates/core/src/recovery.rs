@@ -294,28 +294,12 @@ pub fn run_recovery(
                 };
                 let mut remaining = max_instrs.saturating_sub(dbase);
                 let mut crashed = false;
-                if cfg.main.block_exec {
-                    // Block-stepped degraded execution: same functional
-                    // semantics as the per-instruction loop below
-                    // (`ArchState::run_blocks` is bit-identical to stepping),
-                    // one block lookup per basic block.
-                    while remaining > 0 && !state.halted {
-                        match state.run_blocks(program, &mut mem, &mut NoNondet, remaining) {
-                            Ok(n) => remaining -= n,
-                            Err(_) => {
-                                crashed = true;
-                                break;
-                            }
-                        }
-                    }
-                } else {
-                    while remaining > 0 && !state.halted {
-                        match state.step(program, &mut mem, &mut NoNondet) {
-                            Ok(_) => remaining -= 1,
-                            Err(_) => {
-                                crashed = true;
-                                break;
-                            }
+                while remaining > 0 && !state.halted {
+                    match state.run_blocks(program, &mut mem, &mut NoNondet, remaining) {
+                        Ok(n) => remaining -= n,
+                        Err(_) => {
+                            crashed = true;
+                            break;
                         }
                     }
                 }

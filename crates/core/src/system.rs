@@ -296,9 +296,8 @@ impl PairedSystem {
                 }
             }
             // One basic block per call, cut short at the next armed
-            // fault's strike; degrades to exactly one legacy `step` when
-            // block execution is off or a fault is due, so this single
-            // driver loop covers both paths.
+            // fault's strike (and at exactly one instruction when a fault
+            // is due there).
             match self.core.step_block(&mut self.hier, &mut self.det, max_instrs - n) {
                 Ok(out) => {
                     n += out.instrs;

@@ -832,11 +832,12 @@ mod tests {
         assert!(fp >= 1);
     }
 
-    /// The early-stopping block-engine trial must classify every fault
-    /// exactly like the reference: the legacy per-instruction engine
-    /// (`with_block_exec(false)`) run to the full budget, then the same
-    /// classification. Pins `detect_latency`, which no coverage table
-    /// shows, alongside the outcome.
+    /// The early-stopping trial must classify every fault exactly like the
+    /// reference: the trial's plan run to the full budget with
+    /// [`PairedSystem::run`], as trials ran before the early stop, then the
+    /// same classification (determinism invariant 13). Pins
+    /// `detect_latency`, which no coverage table shows, alongside the
+    /// outcome.
     #[test]
     fn trials_match_full_legacy_runs() {
         let sites = FaultSite::extended();
@@ -861,8 +862,7 @@ mod tests {
             let got = run_point(&cfg, &golden, site, trial, &mut scratch);
 
             let plan = trial_plan(cfg.seed, site, trial, cfg.instrs, cfg.fault_kind);
-            let mut sys =
-                PairedSystem::new_shared(cfg.system.with_block_exec(false), &golden.program);
+            let mut sys = PairedSystem::new_shared(cfg.system, &golden.program);
             arm_plan(&mut sys, &plan);
             let report = sys.run(cfg.instrs);
             let want = classify(&sys, &report, &golden);

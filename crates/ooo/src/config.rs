@@ -97,20 +97,6 @@ pub struct OooConfig {
     /// paths are asserted identical by the skip-vs-tick suite in
     /// `tests/parallel_determinism.rs`.
     pub event_skip: bool,
-    /// Pre-decoded basic-block execution (default on). `OooCore::step_block`
-    /// retires whole basic blocks per call off the program's pre-decoded
-    /// superinstruction stream: fetch/crack lookups, branch-predictor
-    /// consultation and fault scans are hoisted out of the per-instruction
-    /// body, and functional-unit selection switches on the pre-resolved
-    /// `UopClass` byte instead of re-matching nested micro-op kinds. `false`
-    /// forces the legacy per-instruction path (`OooCore::step`), kept as the
-    /// bit-identity reference exactly like `event_skip`'s tick path; the
-    /// two are asserted identical by the block-vs-legacy suite in
-    /// `tests/block_exec_identity.rs`. The instruction an armed fault is
-    /// due at (and every retirement under RMT duplication) still takes the
-    /// legacy path, so fault-injection scan points are preserved; faults
-    /// not yet due and a latched stuck-at fault ride the block engine.
-    pub block_exec: bool,
 }
 
 impl Default for OooConfig {
@@ -135,7 +121,6 @@ impl Default for OooConfig {
             predictor: PredictorConfig::default(),
             rmt_duplicate: false,
             event_skip: true,
-            block_exec: true,
         }
     }
 }

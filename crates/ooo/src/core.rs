@@ -32,8 +32,8 @@ use crate::predictor::TournamentPredictor;
 use crate::resources::{FifoOccupancy, SlotPool, UnorderedOccupancy};
 use crate::types::{CommitEvent, CommitGate, DetectionSink, MemEffect};
 use paradet_isa::{
-    ArchState, DstReg, ExecError, Instruction, MemKind, MemWidth, MicroOp, NondetSource, Program,
-    Reg, SrcReg, UopClass, UopKind, MAX_UOPS_PER_INSN, NO_REG_SLOT,
+    ArchState, DstReg, ExecError, FlatMemory, Instruction, MemWidth, MemoryIface, MicroOp,
+    NondetSource, Program, Reg, SrcReg, UopClass, UopKind, MAX_UOPS_PER_INSN, NO_REG_SLOT,
 };
 use paradet_mem::{CycleDiv, MemHier, Time};
 use std::collections::VecDeque;
@@ -149,9 +149,8 @@ fn note_event(horizon: &mut u64, cycle: u64) {
 /// Hard stuck-at ALU fault: forces `bit` to `value` in the result of every
 /// simple integer-ALU micro-op of one instruction that issued on the struck
 /// unit (`alu_units[k]` is the unit micro-op `k` took, `None` for micro-ops
-/// that did not issue on an integer ALU as a simple ALU op). Shared by
-/// [`OooCore::step`] and [`OooCore::step_block`], which both run it right
-/// after the instruction's functional execution.
+/// that did not issue on an integer ALU as a simple ALU op). Runs right
+/// after the instruction's functional execution and any strike overrides.
 fn apply_stuck(
     state: &mut ArchState,
     (unit, bit, value): (u8, u8, bool),
@@ -171,6 +170,127 @@ fn apply_stuck(
             }
         }
     }
+}
+
+/// Post-execution overrides of the faults that struck one instruction:
+/// each field is the bit a fault of that kind flips.
+#[derive(Debug, Clone, Copy, Default)]
+struct Strike {
+    store_value: Option<u8>,
+    store_addr: Option<u8>,
+    load_value: Option<u8>,
+    load_capture: Option<u8>,
+    pc: Option<u8>,
+}
+
+/// The fault scan point, run before the instruction at `instr_index`
+/// executes: removes every due fault from `faults`, applies register flips
+/// to `state` at once, latches a stuck-at ALU fault into `stuck`, and
+/// returns the post-execution overrides for [`apply_strike`]. Store and
+/// load faults stay armed until an instruction that stores or loads.
+/// Kept out of line: it runs only on walks capped at a due strike.
+#[cold]
+#[inline(never)]
+fn take_due_faults(
+    faults: &mut Vec<ArmedFault>,
+    state: &mut ArchState,
+    stuck: &mut Option<(u8, u8, bool)>,
+    instr_index: u64,
+    uops: &[MicroOp],
+) -> Strike {
+    let has_store = uops.iter().any(|u| u.is_store());
+    let has_load = uops.iter().any(|u| u.is_load());
+    let mut strike = Strike::default();
+    faults.retain(|f| {
+        if instr_index < f.at_instr {
+            return true;
+        }
+        match f.target {
+            FaultTarget::IntRegBit { reg, bit } => {
+                state.set_x(reg, state.x(reg) ^ (1u64 << (bit & 63)));
+            }
+            FaultTarget::FpRegBit { reg, bit } => {
+                state.set_f_bits(reg, state.f_bits(reg) ^ (1u64 << (bit & 63)));
+            }
+            FaultTarget::AluStuckAt { unit, bit, value } => *stuck = Some((unit, bit, value)),
+            FaultTarget::StoreValueBit { bit } if has_store => strike.store_value = Some(bit),
+            FaultTarget::StoreAddrBit { bit } if has_store => strike.store_addr = Some(bit),
+            FaultTarget::LoadValueBit { bit } if has_load => strike.load_value = Some(bit),
+            FaultTarget::LoadCaptureBit { bit } if has_load => strike.load_capture = Some(bit),
+            FaultTarget::PcBit { bit } => strike.pc = Some(bit),
+            // Store/load faults wait for a matching instruction.
+            _ => return true,
+        }
+        false
+    });
+    strike
+}
+
+/// Applies `strike` after `insn` executed: corrupts the stored value or
+/// address (in `mem` and in the logged effect), the loaded register and
+/// its commit-time view, and the PC. Returns the flip to apply to the
+/// first load's LFU capture, non-zero only for a strike before the LFU
+/// duplicated the value (`LoadCaptureBit`).
+#[cold]
+#[inline(never)]
+fn apply_strike(
+    strike: &Strike,
+    insn: Instruction,
+    state: &mut ArchState,
+    mem: &mut FlatMemory,
+    effects: &mut [MemEffect],
+) -> u64 {
+    if let Some(bit) = strike.store_value {
+        if let Some(eff) = effects.iter_mut().find(|e| e.is_store) {
+            let corrupted = eff.width.truncate(eff.value ^ (1u64 << (bit & 63)));
+            mem.store(eff.addr, eff.width, corrupted);
+            eff.value = corrupted;
+        }
+    }
+    if let Some(bit) = strike.store_addr {
+        if let Some(eff) = effects.iter_mut().find(|e| e.is_store) {
+            // The store escaped to the wrong address: the oracle already
+            // wrote the correct one, so put its pre-store bytes back
+            // (`eff.old`, captured by the oracle before it stored), then land
+            // the value at the flipped address. The logged entry is exactly
+            // the one memory mutation the instruction made — (wrong, value,
+            // old-at-wrong) — so a per-entry undo restores memory precisely;
+            // the checker detects the address mismatch either way, and the
+            // memory-state difference is what the SDC classifier needs.
+            let wrong = eff.addr ^ (1u64 << (bit % 48));
+            mem.store(eff.addr, eff.width, eff.old);
+            let old_at_wrong = mem.load(wrong, eff.width);
+            mem.store(wrong, eff.width, eff.value);
+            eff.addr = wrong;
+            eff.old = old_at_wrong;
+        }
+    }
+    let mut capture_flip = 0;
+    if let Some(bit) = strike.load_value.or(strike.load_capture) {
+        // Corrupt the loaded destination register. The commit-time view of
+        // the load (what a naive no-LFU design would forward to the log) is
+        // the *register* value, so the event's value is corrupted for both
+        // fault flavours; the LFU capture (taken at cache access, §IV-C)
+        // stays clean unless the fault struck before duplication.
+        let flip = 1u64 << (bit & 63);
+        if let Some(eff) = effects.iter_mut().find(|e| !e.is_store) {
+            eff.value ^= flip;
+        }
+        match insn {
+            Instruction::Load { rd, .. } | Instruction::Ldp { rd1: rd, .. } => {
+                state.set_x(rd, state.x(rd) ^ flip);
+            }
+            Instruction::FLoad { fd, .. } => state.set_f_bits(fd, state.f_bits(fd) ^ flip),
+            _ => {}
+        }
+        if strike.load_capture.is_some() {
+            capture_flip = flip;
+        }
+    }
+    if let Some(bit) = strike.pc {
+        state.pc ^= 1u64 << (bit % 21).max(2);
+    }
+    capture_flip
 }
 
 struct SuppliedNondet(Option<u64>);
@@ -230,9 +350,6 @@ pub struct OooCore {
     crashed: Option<ExecError>,
     faults: Vec<ArmedFault>,
     stuck: Option<(u8, u8, bool)>,
-    /// Instructions retired through the per-instruction [`OooCore::step`]
-    /// (see [`OooCore::stepped_instrs`]).
-    stepped: u64,
     /// The resource-event horizon: no pool busy-until, occupancy release,
     /// register wakeup, line fill or gate recorded so far lies beyond this
     /// cycle. A micro-op dispatching at or past it observes a fully
@@ -297,7 +414,6 @@ impl OooCore {
             crashed: None,
             faults: Vec::new(),
             stuck: None,
-            stepped: 0,
             horizon: 0,
             stores_commit_max: 0,
             ff_until: 0,
@@ -360,16 +476,6 @@ impl OooCore {
     /// into a re-execution attempt.
     pub fn unfired_faults(&self) -> &[ArmedFault] {
         &self.faults
-    }
-
-    /// Instructions retired through the per-instruction [`step`](Self::step)
-    /// path so far: every retirement when block execution is off or RMT
-    /// duplication is on, otherwise only the instructions
-    /// [`step_block`](Self::step_block) hands to `step` because an armed
-    /// fault is due there. A deterministic work counter — kept out of
-    /// [`CoreStats`] because it depends on the engine, not on the model.
-    pub fn stepped_instrs(&self) -> u64 {
-        self.stepped
     }
 
     /// The cycle at (and after) which every modeled core resource is idle:
@@ -484,17 +590,6 @@ impl OooCore {
         self.cycle_div.ceil(t)
     }
 
-    fn reg_ready(&self, src: SrcReg) -> u64 {
-        match src {
-            SrcReg::Int(r) => self.reg_ready[r.index()],
-            SrcReg::Fp(r) => self.reg_ready[32 + r.index()],
-        }
-    }
-
-    fn srcs_ready(&self, srcs: &[Option<SrcReg>; 3]) -> u64 {
-        srcs.iter().flatten().map(|&s| self.reg_ready(s)).max().unwrap_or(0)
-    }
-
     /// Operand readiness straight off pre-decoded source slots: the slot
     /// bytes already carry the unified `0..64` encoding the scoreboard is
     /// laid out in, so no enum dispatch remains on the block path.
@@ -509,7 +604,9 @@ impl OooCore {
         m
     }
 
-    /// Retires one macro-op, advancing the model.
+    /// Retires one macro-op, advancing the model: a block walk capped at
+    /// one instruction (the per-instruction driver the DCLS and RMT
+    /// baselines use).
     ///
     /// # Errors
     ///
@@ -521,663 +618,9 @@ impl OooCore {
         hier: &mut MemHier,
         sink: &mut S,
     ) -> Result<StepOutcome, CoreError> {
-        if self.halted {
-            return Err(CoreError::Halted);
-        }
-        if let Some(e) = self.crashed {
-            return Err(CoreError::Crashed(e));
-        }
         let pc = self.state.pc;
-        let insn = match self.program.instr_at(pc) {
-            Some(i) => *i,
-            None => {
-                let e = ExecError::BadPc { pc };
-                self.crashed = Some(e);
-                return Err(CoreError::Crashed(e));
-            }
-        };
-
-        // ---- Fetch timing -------------------------------------------------
-        let (_, fslot) = self.fetch_slots.take(self.next_fetch_cycle, 1);
-        note_event(&mut self.horizon, fslot + 1);
-        let line = pc & !63;
-        if line != self.last_fetch_line {
-            let done = hier.ifetch(line, self.to_time(fslot));
-            self.line_ready = self.to_cycle(done);
-            self.last_fetch_line = line;
-            note_event(&mut self.horizon, self.line_ready);
-        }
-        let fetch_cycle = fslot.max(self.line_ready);
-
-        // ---- Branch prediction (consulted before outcome is known) --------
-        let prediction = match insn {
-            Instruction::Branch { .. } => {
-                let p = self.pred.predict_direction(pc);
-                let target = if p.taken { self.pred.btb_lookup(pc) } else { None };
-                Some((p, target))
-            }
-            _ => None,
-        };
-        let jalr_prediction = match insn {
-            Instruction::Jalr { rd, rs1, .. } => {
-                let is_return = rd == Reg::X0 && rs1 == Reg::X1;
-                let predicted =
-                    if is_return { self.pred.ras_pop() } else { self.pred.btb_lookup(pc) };
-                if rd == Reg::X1 {
-                    self.pred.ras_push(pc + 4);
-                }
-                Some(predicted)
-            }
-            _ => None,
-        };
-        if let Instruction::Jal { rd, .. } = insn {
-            if rd == Reg::X1 {
-                self.pred.ras_push(pc + 4);
-            }
-        }
-
-        // ---- Pre-compute memory addresses from the pre-state --------------
-        // Micro-ops come pre-cracked from the shared program (computed once
-        // at build); nothing on this per-instruction path heap-allocates.
-        let uops = self.program.uops_at(pc).expect("fetched instruction has micro-ops");
-        let mut uop_addrs = [None::<u64>; MAX_UOPS_PER_INSN];
-        for (k, u) in uops.iter().enumerate() {
-            uop_addrs[k] = match u.kind {
-                UopKind::Mem { imm, .. } => {
-                    let base = match u.srcs[0] {
-                        Some(SrcReg::Int(r)) => self.state.x(r),
-                        None => 0,
-                        _ => unreachable!("memory base is an integer register"),
-                    };
-                    Some(base.wrapping_add(imm as u64))
-                }
-                _ => None,
-            };
-        }
-
-        // ---- Fault arming --------------------------------------------------
-        // Apply pre-execution faults and figure out which post-execution
-        // overrides are pending for this instruction.
-        let mut store_value_flip: Option<u8> = None;
-        let mut store_addr_flip: Option<u8> = None;
-        let mut load_value_flip: Option<u8> = None;
-        let mut load_capture_flip: Option<u8> = None;
-        let mut pc_flip: Option<u8> = None;
-        if !self.faults.is_empty() {
-            let instr_index = self.instr_index;
-            let has_store = uops.iter().any(|u| u.is_store());
-            let has_load = uops.iter().any(|u| u.is_load());
-            let mut remaining = Vec::with_capacity(self.faults.len());
-            for f in std::mem::take(&mut self.faults) {
-                if instr_index < f.at_instr {
-                    remaining.push(f);
-                    continue;
-                }
-                match f.target {
-                    FaultTarget::IntRegBit { reg, bit } => {
-                        let v = self.state.x(reg) ^ (1u64 << (bit & 63));
-                        self.state.set_x(reg, v);
-                    }
-                    FaultTarget::FpRegBit { reg, bit } => {
-                        let v = self.state.f_bits(reg) ^ (1u64 << (bit & 63));
-                        self.state.set_f_bits(reg, v);
-                    }
-                    FaultTarget::AluStuckAt { unit, bit, value } => {
-                        self.stuck = Some((unit, bit, value));
-                    }
-                    FaultTarget::StoreValueBit { bit } if has_store => {
-                        store_value_flip = Some(bit);
-                    }
-                    FaultTarget::StoreAddrBit { bit } if has_store => {
-                        store_addr_flip = Some(bit);
-                    }
-                    FaultTarget::LoadValueBit { bit } if has_load => {
-                        load_value_flip = Some(bit);
-                    }
-                    FaultTarget::LoadCaptureBit { bit } if has_load => {
-                        load_capture_flip = Some(bit);
-                    }
-                    FaultTarget::PcBit { bit } => {
-                        pc_flip = Some(bit);
-                    }
-                    // Store/load faults wait for a matching instruction.
-                    _ => remaining.push(f),
-                }
-            }
-            self.faults = remaining;
-        }
-
-        // ---- Per-micro-op timing ------------------------------------------
-        let mut completes = [0u64; MAX_UOPS_PER_INSN];
-        let mut resolve_cycle: Option<u64> = None;
-        let mut alu_units = [None::<usize>; MAX_UOPS_PER_INSN];
-        let mut nondet_value: Option<u64> = None;
-        let mut load_forwarded = [false; 2];
-        let rmt = self.cfg.rmt_duplicate;
-
-        for (k, u) in uops.iter().enumerate() {
-            // One extra pass per µop in RMT mode: the duplicate competes for
-            // the same resources but produces no architectural effects.
-            for dup in 0..if rmt { 2 } else { 1 } {
-                let is_dup = dup == 1;
-                // Dispatch: in-order, bounded by window occupancy and any
-                // checkpoint-copy pause.
-                let mut disp = (fetch_cycle + self.cfg.front_depth).max(self.dispatch_gate);
-                if self.cfg.event_skip && disp >= self.horizon {
-                    // Quiescent jump: every recorded resource event is at or
-                    // before `disp`, so each acquisition this micro-op would
-                    // perform drains its window empty and returns `disp`
-                    // unchanged — advance time straight there, clearing
-                    // those windows in O(1) instead of walking their
-                    // entries. Only the structures the exhaustive path
-                    // would acquire are touched (dispatch times are not
-                    // monotone across instructions, so an untouched window
-                    // must keep its entries for later, earlier-cycle
-                    // acquisitions).
-                    self.stats.cycles_skipped += disp - self.horizon;
-                    self.rob.reset();
-                    self.iq.reset();
-                    if u.is_load() {
-                        self.lq.reset();
-                    }
-                    if u.is_store() {
-                        self.sq.reset();
-                    }
-                    match u.dst {
-                        Some(DstReg::Int(_)) => self.phys_int.reset(),
-                        Some(DstReg::Fp(_)) => self.phys_fp.reset(),
-                        None => {}
-                    }
-                } else {
-                    disp = self.rob.acquire(disp);
-                    disp = self.iq.acquire(disp);
-                    if u.is_load() {
-                        disp = self.lq.acquire(disp);
-                    }
-                    if u.is_store() {
-                        disp = self.sq.acquire(disp);
-                    }
-                    match u.dst {
-                        Some(DstReg::Int(_)) => disp = self.phys_int.acquire(disp),
-                        Some(DstReg::Fp(_)) => disp = self.phys_fp.acquire(disp),
-                        None => {}
-                    }
-                }
-                let (_, disp) = self.dispatch_slots.take(disp, 1);
-                note_event(&mut self.horizon, disp + 1);
-
-                // Operand readiness (RAW through renamed registers).
-                let ready = self.srcs_ready(&u.srcs).max(disp + 1);
-
-                // Issue + execute through a functional unit.
-                let lat = &self.cfg.lat;
-                let (complete, alu_unit) = match u.kind {
-                    UopKind::IntAlu { op, .. } => {
-                        let (pipelined, l) = if op.is_mul_div() {
-                            (
-                                false,
-                                if matches!(op, paradet_isa::AluOp::Div | paradet_isa::AluOp::Rem) {
-                                    lat.div
-                                } else {
-                                    lat.mul
-                                },
-                            )
-                        } else {
-                            (true, lat.int_alu)
-                        };
-                        let pool =
-                            if op.is_mul_div() { &mut self.mul_div } else { &mut self.int_alus };
-                        let occ = if pipelined { 1 } else { l };
-                        let (unit, start) = pool.take(ready, occ);
-                        let (_, start) = self.issue_slots.take(start, 1);
-                        (start + l, if op.is_mul_div() { None } else { Some(unit) })
-                    }
-                    UopKind::FpAlu { op } => {
-                        let (occ, l) =
-                            if op.is_div() { (lat.fp_div, lat.fp_div) } else { (1, lat.fp_alu) };
-                        let (_, start) = self.fp_alus.take(ready, occ);
-                        let (_, start) = self.issue_slots.take(start, 1);
-                        (start + l, None)
-                    }
-                    UopKind::Fma => {
-                        let (_, start) = self.fp_alus.take(ready, 1);
-                        let (_, start) = self.issue_slots.take(start, 1);
-                        (start + lat.fp_alu, None)
-                    }
-                    UopKind::FSqrt => {
-                        let (_, start) = self.fp_alus.take(ready, lat.fsqrt);
-                        let (_, start) = self.issue_slots.take(start, 1);
-                        (start + lat.fsqrt, None)
-                    }
-                    UopKind::FMov { .. } => {
-                        let (_, start) = self.int_alus.take(ready, 1);
-                        let (_, start) = self.issue_slots.take(start, 1);
-                        (start + lat.fmov, None)
-                    }
-                    UopKind::Branch { .. } | UopKind::Jump { .. } | UopKind::JumpReg { .. } => {
-                        let (_, start) = self.int_alus.take(ready, 1);
-                        let (_, start) = self.issue_slots.take(start, 1);
-                        let c = start + lat.branch;
-                        if !is_dup {
-                            resolve_cycle = Some(c);
-                        }
-                        (c, None)
-                    }
-                    UopKind::Mem { kind, width, .. } => {
-                        let addr = uop_addrs[k].expect("mem uop has an address");
-                        let (_, agu_start) = self.mem_ports.take(ready, 1);
-                        let (_, agu_start) = self.issue_slots.take(agu_start, 1);
-                        let addr_known = agu_start + lat.agu;
-                        match kind {
-                            MemKind::Load { .. } => {
-                                if is_dup {
-                                    // RMT duplicate loads read the load value
-                                    // queue, not the cache.
-                                    (addr_known + lat.forward, None)
-                                } else {
-                                    // Store-to-load forwarding: youngest older
-                                    // store overlapping this access and still
-                                    // in flight at addr_known. The skip path
-                                    // elides the window walk when every store
-                                    // has provably left the window by then.
-                                    let bytes = width.bytes();
-                                    let fwd = if self.cfg.event_skip
-                                        && addr_known >= self.stores_commit_max
-                                    {
-                                        None
-                                    } else {
-                                        self.stores_in_flight
-                                            .iter()
-                                            .rev()
-                                            .find(|s| {
-                                                s.commit > addr_known
-                                                    && addr < s.addr + s.bytes
-                                                    && s.addr < addr + bytes
-                                            })
-                                            .map(|s| s.data_ready)
-                                    };
-                                    match fwd {
-                                        Some(dr) => {
-                                            self.stats.store_forwards += 1;
-                                            if k < 2 {
-                                                load_forwarded[k] = true;
-                                            }
-                                            (addr_known.max(dr) + lat.forward, None)
-                                        }
-                                        None => {
-                                            let done =
-                                                hier.dread(pc, addr, self.to_time(addr_known));
-                                            (self.to_cycle(done), None)
-                                        }
-                                    }
-                                }
-                            }
-                            MemKind::Store => {
-                                // Stores are "complete" when address and data
-                                // are both available; memory is written at
-                                // commit through the write buffer.
-                                let data_ready = match u.srcs[1] {
-                                    Some(s) => self.reg_ready(s),
-                                    None => 0,
-                                };
-                                (addr_known.max(data_ready) + 1, None)
-                            }
-                        }
-                    }
-                    UopKind::RdCycle => {
-                        let (_, start) = self.int_alus.take(ready, 1);
-                        let (_, start) = self.issue_slots.take(start, 1);
-                        if !is_dup {
-                            nondet_value = Some(start + lat.int_alu);
-                        }
-                        (start + lat.int_alu, None)
-                    }
-                    UopKind::Nop | UopKind::Halt => {
-                        let (_, start) = self.issue_slots.take(ready, 1);
-                        (start + 1, None)
-                    }
-                };
-                // One horizon raise covers everything this micro-op booked:
-                // unit busy-until ≤ complete, issue slot ≤ complete, wakeup
-                // (reg_ready) = complete, window releases ≤ complete + 1.
-                note_event(&mut self.horizon, complete + 1);
-
-                if is_dup {
-                    // The duplicate occupies window entries until it commits
-                    // alongside the primary; approximate its release with its
-                    // completion + 1.
-                    self.rob.push(complete + 1);
-                    self.iq.push(complete);
-                    if u.is_load() {
-                        self.lq.push(complete + 1);
-                    }
-                    if u.is_store() {
-                        self.sq.push(complete + 1);
-                    }
-                    match u.dst {
-                        Some(DstReg::Int(_)) => self.phys_int.push(complete + 1),
-                        Some(DstReg::Fp(_)) => self.phys_fp.push(complete + 1),
-                        None => {}
-                    }
-                } else {
-                    completes[k] = complete;
-                    alu_units[k] = alu_unit;
-                    // Record IQ release at issue (approximated by complete -
-                    // latency ≈ issue; using complete keeps it conservative).
-                    self.iq.push(complete);
-                    // Destination becomes ready at completion.
-                    match u.dst {
-                        Some(DstReg::Int(r)) => self.reg_ready[r.index()] = complete,
-                        Some(DstReg::Fp(r)) => self.reg_ready[32 + r.index()] = complete,
-                        None => {}
-                    }
-                }
-            }
-        }
-
-        // ---- Functional execution (oracle) + faults ------------------------
-        let mut nondet = SuppliedNondet(nondet_value);
-        let step = match self.state.step(&self.program, &mut hier.data, &mut nondet) {
-            Ok(s) => s,
-            Err(e) => {
-                self.crashed = Some(e);
-                return Err(CoreError::Crashed(e));
-            }
-        };
-
-        // Post-execution fault overrides. Both scratch lists live on the
-        // stack (≤ 2 accesses per macro-op): this path runs once per
-        // retired instruction and must not allocate.
-        let mut mem_effects =
-            [MemEffect { is_store: false, addr: 0, value: 0, width: MemWidth::B, old: 0 }; 2];
-        let mut n_effects = 0usize;
-        for a in step.mem.iter() {
-            mem_effects[n_effects] = MemEffect {
-                is_store: a.is_store,
-                addr: a.addr,
-                value: a.value,
-                width: a.width,
-                old: a.old,
-            };
-            n_effects += 1;
-        }
-        let mem_effects = &mut mem_effects[..n_effects];
-        // Captured (LFU) values default to the true loaded values.
-        let mut captured = [0u64; 2];
-        let mut n_captured = 0usize;
-        for a in step.mem.iter().filter(|a| !a.is_store) {
-            captured[n_captured] = a.value;
-            n_captured += 1;
-        }
-        let captured = &mut captured[..n_captured];
-
-        if let Some(bit) = store_value_flip {
-            if let Some(eff) = mem_effects.iter_mut().find(|e| e.is_store) {
-                let corrupted = eff.width.truncate(eff.value ^ (1u64 << (bit & 63)));
-                use paradet_isa::MemoryIface;
-                hier.data.store(eff.addr, eff.width, corrupted);
-                eff.value = corrupted;
-            }
-        }
-        if let Some(bit) = store_addr_flip {
-            if let Some(eff) = mem_effects.iter_mut().find(|e| e.is_store) {
-                use paradet_isa::MemoryIface;
-                // The store escaped to the wrong address: the oracle already
-                // wrote the correct one, so put its pre-store bytes back
-                // (`eff.old`, captured by the oracle before it stored), then
-                // land the value at the flipped address. The logged entry is
-                // exactly the one memory mutation the instruction made —
-                // (wrong, value, old-at-wrong) — so a per-entry undo restores
-                // memory precisely; the checker detects the address mismatch
-                // either way, and the memory-state difference is what the
-                // SDC classifier needs.
-                let wrong = eff.addr ^ (1u64 << (bit % 48));
-                hier.data.store(eff.addr, eff.width, eff.old);
-                let old_at_wrong = hier.data.load(wrong, eff.width);
-                hier.data.store(wrong, eff.width, eff.value);
-                eff.addr = wrong;
-                eff.old = old_at_wrong;
-            }
-        }
-        if load_value_flip.is_some() || load_capture_flip.is_some() {
-            let bit = load_value_flip.or(load_capture_flip).unwrap_or(0);
-            // Corrupt the loaded destination register in the oracle. The
-            // commit-time view of the load (what a naive no-LFU design would
-            // forward to the log) is the *register* value, so the event's
-            // value is corrupted for both fault flavours; the LFU capture
-            // (taken at cache access, §IV-C) stays clean unless the fault
-            // struck before duplication (`LoadCaptureBit`).
-            let flip = 1u64 << (bit & 63);
-            if let Some(eff) = mem_effects.iter_mut().find(|e| !e.is_store) {
-                eff.value ^= flip;
-            }
-            match insn {
-                Instruction::Load { rd, .. } => {
-                    let v = self.state.x(rd) ^ flip;
-                    self.state.set_x(rd, v);
-                }
-                Instruction::Ldp { rd1, .. } => {
-                    let v = self.state.x(rd1) ^ flip;
-                    self.state.set_x(rd1, v);
-                }
-                Instruction::FLoad { fd, .. } => {
-                    let v = self.state.f_bits(fd) ^ flip;
-                    self.state.set_f_bits(fd, v);
-                }
-                _ => {}
-            }
-            if load_capture_flip.is_some() {
-                // Fault struck *before* LFU duplication: the captured value
-                // (and hence the log) is corrupted too.
-                if let Some(c) = captured.first_mut() {
-                    *c ^= flip;
-                }
-            }
-        }
-        if let Some(bit) = pc_flip {
-            self.state.pc ^= 1u64 << (bit % 21).max(2);
-        }
-        if let Some(stuck) = self.stuck {
-            apply_stuck(&mut self.state, stuck, self.cfg.int_alus, uops, &alu_units);
-        }
-
-        // ---- Load-forwarding-unit capture events ----------------------------
-        {
-            let mut load_idx = 0usize;
-            // `(seq + k) % rob_entries`, maintained incrementally: one divide
-            // per instruction instead of one per uop.
-            let mut rob_slot = (self.seq % self.cfg.rob_entries as u64) as usize;
-            for (k, u) in uops.iter().enumerate() {
-                if u.is_load() {
-                    let eff = mem_effects
-                        .iter()
-                        .filter(|e| !e.is_store)
-                        .nth(load_idx)
-                        .copied()
-                        .expect("load uop has an effect");
-                    let value = captured[load_idx];
-                    sink.on_load_executed(
-                        rob_slot,
-                        eff.addr,
-                        value,
-                        eff.width,
-                        self.to_time(completes[k]),
-                    );
-                    load_idx += 1;
-                }
-                rob_slot += 1;
-                if rob_slot == self.cfg.rob_entries {
-                    rob_slot = 0;
-                }
-            }
-        }
-
-        // ---- Control-flow resolution & predictor training -------------------
-        match insn {
-            Instruction::Branch { .. } => {
-                self.stats.branches += 1;
-                let (p, btb_target) = prediction.expect("branch was predicted");
-                let taken = step.taken_branch;
-                self.pred.update_direction(pc, p, taken);
-                if taken {
-                    self.pred.btb_update(pc, step.next_pc);
-                }
-                let correct = p.taken == taken && (!taken || btb_target == Some(step.next_pc));
-                if correct {
-                    if taken {
-                        // Correctly-predicted taken branch ends the fetch
-                        // group.
-                        self.next_fetch_cycle = self.next_fetch_cycle.max(fetch_cycle + 1);
-                    }
-                } else {
-                    self.stats.mispredicts += 1;
-                    let resolve = resolve_cycle.expect("branch resolved");
-                    self.next_fetch_cycle = self.next_fetch_cycle.max(resolve + 1);
-                }
-            }
-            Instruction::Jal { .. } => {
-                // Direct jump: target known at decode; at worst a short
-                // front-end bubble when the BTB misses.
-                let hit = self.pred.btb_lookup(pc) == Some(step.next_pc);
-                self.pred.btb_update(pc, step.next_pc);
-                let bubble = if hit { 1 } else { 2 };
-                self.next_fetch_cycle = self.next_fetch_cycle.max(fetch_cycle + bubble);
-            }
-            Instruction::Jalr { .. } => {
-                let predicted = jalr_prediction.expect("jalr was predicted");
-                self.pred.btb_update(pc, step.next_pc);
-                if predicted == Some(step.next_pc) {
-                    self.next_fetch_cycle = self.next_fetch_cycle.max(fetch_cycle + 1);
-                } else {
-                    self.stats.mispredicts += 1;
-                    let resolve = resolve_cycle.expect("jalr resolved");
-                    self.next_fetch_cycle = self.next_fetch_cycle.max(resolve + 1);
-                }
-            }
-            _ => {}
-        }
-        // A PC corruption also redirects fetch (at commit of this instr).
-        if pc_flip.is_some() {
-            self.last_fetch_line = u64::MAX;
-        }
-
-        // ---- In-order commit with detection gating --------------------------
-        let mut mem_iter = 0usize;
-        let mut outcome_time = Time::ZERO;
-        // `(seq + k) % rob_entries`, maintained incrementally (see the load
-        // capture loop above).
-        let mut rob_slot = (self.seq % self.cfg.rob_entries as u64) as usize;
-        for (k, u) in uops.iter().enumerate() {
-            let complete = completes[k];
-            let mut commit = (complete + 1).max(self.last_commit).max(self.commit_gate);
-            let mem = if u.is_mem() {
-                let e = mem_effects[mem_iter];
-                mem_iter += 1;
-                Some(e)
-            } else {
-                None
-            };
-            // Committed stores drain through the write buffer.
-            if let Some(e) = mem {
-                if e.is_store {
-                    let (wb_slot, wb_start) = self.write_buffer.take(commit, 0);
-                    commit = commit.max(wb_start);
-                    let done = hier.dwrite(pc, e.addr, self.to_time(wb_start));
-                    let done_cycle = self.to_cycle(done);
-                    self.write_buffer.set_busy(wb_slot, done_cycle);
-                    note_event(&mut self.horizon, done_cycle);
-                }
-            }
-            let (_, slot) = self.commit_slots.take(commit, 1);
-            commit = commit.max(slot);
-
-            let ev = CommitEvent {
-                seq: self.seq + k as u64,
-                instr_index: self.instr_index,
-                pc,
-                insn,
-                uop_index: u.uop_index,
-                last: u.last,
-                mem,
-                nondet: if u.is_nondet() { step.nondet } else { None },
-                rob_slot,
-            };
-            loop {
-                match sink.on_commit(&ev, self.to_time(commit), &self.state, hier) {
-                    CommitGate::Accept => break,
-                    CommitGate::AcceptWithPause(pause) => {
-                        self.stats.gate_pauses += 1;
-                        self.stats.gate_pause_cycles += pause;
-                        self.commit_gate = commit + pause;
-                        self.dispatch_gate = commit + pause;
-                        note_event(&mut self.horizon, commit + pause);
-                        break;
-                    }
-                    CommitGate::Retry(t) => {
-                        // A log-full stall: jump commit straight to the
-                        // checker-finish deadline — the cycles in between
-                        // are crossed in this one step, never evaluated.
-                        let c2 = self.to_cycle(t).max(commit + 1);
-                        self.stats.gate_retry_cycles += c2 - commit;
-                        if self.cfg.event_skip {
-                            // Cycles a whole-system fast-forward already
-                            // accounted (up to `ff_until`) are not
-                            // re-counted.
-                            let base = commit.max(self.ff_until.min(c2 - 1));
-                            self.stats.cycles_skipped += (c2 - 1) - base;
-                        }
-                        commit = c2;
-                    }
-                }
-            }
-            self.last_commit = commit;
-            note_event(&mut self.horizon, commit + 1);
-
-            // Record occupancy releases now that commit is final.
-            self.rob.push(commit);
-            if u.is_load() {
-                self.lq.push(commit);
-            }
-            if let Some(e) = mem {
-                if e.is_store {
-                    self.sq.push(commit);
-                    self.stores_in_flight.push_back(InflightStore {
-                        addr: e.addr,
-                        bytes: e.width.bytes(),
-                        data_ready: complete,
-                        commit,
-                    });
-                    self.stores_commit_max = self.stores_commit_max.max(commit);
-                    if self.stores_in_flight.len() > self.cfg.sq_entries {
-                        self.stores_in_flight.pop_front();
-                    }
-                    self.stats.stores += 1;
-                } else {
-                    self.stats.loads += 1;
-                }
-            }
-            match u.dst {
-                Some(DstReg::Int(_)) => self.phys_int.push(commit),
-                Some(DstReg::Fp(_)) => self.phys_fp.push(commit),
-                None => {}
-            }
-            self.stats.committed_uops += 1;
-            outcome_time = self.to_time(commit);
-            rob_slot += 1;
-            if rob_slot == self.cfg.rob_entries {
-                rob_slot = 0;
-            }
-        }
-
-        self.seq += uops.len() as u64;
-        self.instr_index += 1;
-        self.stepped += 1;
-        self.stats.committed_instrs += 1;
-        self.stats.last_commit_cycle = self.last_commit;
-        if step.halted {
-            self.halted = true;
-        }
-        Ok(StepOutcome { pc, commit_time: outcome_time, halted: step.halted })
+        let out = self.step_block(hier, sink, 1)?;
+        Ok(StepOutcome { pc, commit_time: self.now(), halted: out.halted })
     }
 
     /// Retires the remainder of the current basic block (capped at
@@ -1186,28 +629,38 @@ impl OooCore {
     /// branch-predictor matches hoisted off the per-instruction body (only
     /// the block terminator can be control flow), functional-unit selection
     /// switched on the pre-resolved [`UopClass`] byte, and the oracle fed
-    /// the already-fetched instruction. The timing phases (fetch slots,
-    /// dispatch gating, occupancy acquisition order, issue/complete/commit
-    /// bookkeeping, detection-sink gating, horizon raises) are
-    /// transliterated from [`step`](Self::step) one for one — the two paths
-    /// are asserted bit-identical by the block-vs-legacy suite.
+    /// the already-fetched instruction.
     ///
-    /// Falls back to exactly one legacy [`step`](Self::step) call whenever
-    /// `OooConfig::block_exec` is off, RMT duplication is on, or an armed
-    /// fault is due at the current instruction (`at_instr <= instr_index`:
-    /// the legacy path carries the per-instruction fault scan points).
-    /// Faults armed for later instructions do not force the fallback: the
-    /// walk is capped at the earliest strike, so the struck instruction
-    /// starts the next call. A latched stuck-at ALU fault is applied here
-    /// exactly as in `step`, through the same helper.
+    /// Armed faults cap the walk: it stops short of the earliest strike,
+    /// and a walk that starts at an instruction a fault is due at
+    /// (`at_instr <= instr_index`) retires exactly that one instruction,
+    /// running the fault scan before it executes and the post-execution
+    /// overrides after. A latched stuck-at ALU fault is applied to every
+    /// instruction. Under RMT duplication every micro-op takes a second,
+    /// effect-free pass through dispatch and issue.
     ///
     /// # Errors
     ///
     /// [`CoreError::Halted`] / [`CoreError::Crashed`] as for
     /// [`step`](Self::step). A wild block exit is observed by the *next*
-    /// call's block lookup — matching the legacy driver, which sees a bad
-    /// PC at the next instruction fetch.
+    /// call's block lookup, as a bad PC at the next instruction fetch.
     pub fn step_block<S: DetectionSink + ?Sized>(
+        &mut self,
+        hier: &mut MemHier,
+        sink: &mut S,
+        max_instrs: u64,
+    ) -> Result<BlockOutcome, CoreError> {
+        if self.cfg.rmt_duplicate {
+            self.walk::<S, true>(hier, sink, max_instrs)
+        } else {
+            self.walk::<S, false>(hier, sink, max_instrs)
+        }
+    }
+
+    /// The block walk behind [`step_block`](Self::step_block),
+    /// monomorphised on RMT duplication so the single-pass walk carries no
+    /// per-micro-op pass loop.
+    fn walk<S: DetectionSink + ?Sized, const RMT: bool>(
         &mut self,
         hier: &mut MemHier,
         sink: &mut S,
@@ -1219,15 +672,10 @@ impl OooCore {
         if let Some(e) = self.crashed {
             return Err(CoreError::Crashed(e));
         }
-        // Armed faults that are not yet due ride the block engine: the walk
-        // stops short of the earliest strike, whose instruction then takes
-        // the per-instruction scan point in `step`.
         let next_strike = self.faults.iter().map(|f| f.at_instr).min().unwrap_or(u64::MAX);
-        if !self.cfg.block_exec || self.cfg.rmt_duplicate || next_strike <= self.instr_index {
-            let out = self.step(hier, sink)?;
-            return Ok(BlockOutcome { instrs: 1, halted: out.halted });
-        }
-        let max_instrs = max_instrs.min(next_strike - self.instr_index);
+        let due = next_strike <= self.instr_index;
+        let max_instrs =
+            if due { max_instrs.min(1) } else { max_instrs.min(next_strike - self.instr_index) };
         if max_instrs == 0 {
             return Ok(BlockOutcome { instrs: 0, halted: false });
         }
@@ -1243,85 +691,109 @@ impl OooCore {
                 return Err(CoreError::Crashed(e));
             }
         };
-        {
-            let first = (block.first + off) as usize;
-            let end = (block.first + block.len) as usize;
-            for i in first..end {
-                let pc = self.state.pc;
-                let insn = program.text()[i];
-                // Only the block's last instruction can transfer control,
-                // so prediction and resolution run for it alone.
-                let is_term = i + 1 == end;
+        let first = (block.first + off) as usize;
+        let end = (block.first + block.len) as usize;
+        for i in first..end {
+            let pc = self.state.pc;
+            let insn = program.text()[i];
+            // Only the block's last instruction can transfer control, so
+            // prediction and resolution run for it alone.
+            let is_term = i + 1 == end;
 
-                // ---- Fetch timing (as in `step`) ----------------------
-                let (_, fslot) = self.fetch_slots.take(self.next_fetch_cycle, 1);
-                note_event(&mut self.horizon, fslot + 1);
-                let line = pc & !63;
-                if line != self.last_fetch_line {
-                    let done_t = hier.ifetch(line, self.to_time(fslot));
-                    self.line_ready = self.to_cycle(done_t);
-                    self.last_fetch_line = line;
-                    note_event(&mut self.horizon, self.line_ready);
-                }
-                let fetch_cycle = fslot.max(self.line_ready);
+            // ---- Fetch timing ---------------------------------------------
+            let (_, fslot) = self.fetch_slots.take(self.next_fetch_cycle, 1);
+            note_event(&mut self.horizon, fslot + 1);
+            let line = pc & !63;
+            if line != self.last_fetch_line {
+                let done_t = hier.ifetch(line, self.to_time(fslot));
+                self.line_ready = self.to_cycle(done_t);
+                self.last_fetch_line = line;
+                note_event(&mut self.horizon, self.line_ready);
+            }
+            let fetch_cycle = fslot.max(self.line_ready);
 
-                // ---- Branch prediction (terminator only) --------------
-                let mut prediction = None;
-                let mut jalr_prediction = None;
-                if is_term {
-                    match insn {
-                        Instruction::Branch { .. } => {
-                            let p = self.pred.predict_direction(pc);
-                            let target = if p.taken { self.pred.btb_lookup(pc) } else { None };
-                            prediction = Some((p, target));
-                        }
-                        Instruction::Jalr { rd, rs1, .. } => {
-                            let is_return = rd == Reg::X0 && rs1 == Reg::X1;
-                            let predicted = if is_return {
-                                self.pred.ras_pop()
-                            } else {
-                                self.pred.btb_lookup(pc)
-                            };
-                            if rd == Reg::X1 {
-                                self.pred.ras_push(pc + 4);
-                            }
-                            jalr_prediction = Some(predicted);
-                        }
-                        Instruction::Jal { rd: Reg::X1, .. } => {
+            // ---- Branch prediction (terminator only) ----------------------
+            let mut prediction = None;
+            let mut jalr_prediction = None;
+            if is_term {
+                match insn {
+                    Instruction::Branch { .. } => {
+                        let p = self.pred.predict_direction(pc);
+                        let target = if p.taken { self.pred.btb_lookup(pc) } else { None };
+                        prediction = Some((p, target));
+                    }
+                    Instruction::Jalr { rd, rs1, .. } => {
+                        let is_return = rd == Reg::X0 && rs1 == Reg::X1;
+                        let predicted =
+                            if is_return { self.pred.ras_pop() } else { self.pred.btb_lookup(pc) };
+                        if rd == Reg::X1 {
                             self.pred.ras_push(pc + 4);
                         }
-                        _ => {}
+                        jalr_prediction = Some(predicted);
                     }
-                }
-
-                // ---- Pre-decoded micro-ops + memory addresses ---------
-                let uops = program.uops_of(i);
-                let pre = program.pre_uops_of(i);
-                let mut uop_addrs = [None::<u64>; MAX_UOPS_PER_INSN];
-                for (k, u) in uops.iter().enumerate() {
-                    if matches!(pre[k].class, UopClass::Load | UopClass::Store) {
-                        let UopKind::Mem { imm, .. } = u.kind else { unreachable!() };
-                        let base = match u.srcs[0] {
-                            Some(SrcReg::Int(r)) => self.state.x(r),
-                            None => 0,
-                            _ => unreachable!("memory base is an integer register"),
-                        };
-                        uop_addrs[k] = Some(base.wrapping_add(imm as u64));
+                    Instruction::Jal { rd: Reg::X1, .. } => {
+                        self.pred.ras_push(pc + 4);
                     }
+                    _ => {}
                 }
+            }
 
-                // ---- Per-micro-op timing ------------------------------
-                let mut completes = [0u64; MAX_UOPS_PER_INSN];
-                let mut resolve_cycle: Option<u64> = None;
-                let mut alu_units = [None::<usize>; MAX_UOPS_PER_INSN];
-                let mut nondet_value: Option<u64> = None;
-                for (k, u) in uops.iter().enumerate() {
-                    let class = pre[k].class;
-                    let is_load = class == UopClass::Load;
-                    let is_store = class == UopClass::Store;
+            // ---- Pre-decoded micro-ops + memory addresses -----------------
+            // Addresses come from the pre-state, before any strike below.
+            let uops = program.uops_of(i);
+            let pre = program.pre_uops_of(i);
+            let mut uop_addrs = [None::<u64>; MAX_UOPS_PER_INSN];
+            for (k, u) in uops.iter().enumerate() {
+                if matches!(pre[k].class, UopClass::Load | UopClass::Store) {
+                    let UopKind::Mem { imm, .. } = u.kind else { unreachable!() };
+                    let base = match u.srcs[0] {
+                        Some(SrcReg::Int(r)) => self.state.x(r),
+                        None => 0,
+                        _ => unreachable!("memory base is an integer register"),
+                    };
+                    uop_addrs[k] = Some(base.wrapping_add(imm as u64));
+                }
+            }
+
+            // ---- Fault scan (a walk capped at a due strike) ---------------
+            let strike = due.then(|| {
+                take_due_faults(
+                    &mut self.faults,
+                    &mut self.state,
+                    &mut self.stuck,
+                    self.instr_index,
+                    uops,
+                )
+            });
+
+            // ---- Per-micro-op timing --------------------------------------
+            let mut completes = [0u64; MAX_UOPS_PER_INSN];
+            let mut resolve_cycle: Option<u64> = None;
+            let mut alu_units = [None::<usize>; MAX_UOPS_PER_INSN];
+            let mut nondet_value: Option<u64> = None;
+            for (k, u) in uops.iter().enumerate() {
+                let class = pre[k].class;
+                let is_load = class == UopClass::Load;
+                let is_store = class == UopClass::Store;
+                // Under RMT the duplicate competes for the same resources
+                // but produces no architectural effects.
+                for pass in 0..1 + RMT as usize {
+                    let dup = RMT && pass == 1;
+                    // Dispatch: in-order, bounded by window occupancy and
+                    // any checkpoint-copy pause.
                     let mut disp = (fetch_cycle + self.cfg.front_depth).max(self.dispatch_gate);
                     if self.cfg.event_skip && disp >= self.horizon {
-                        // Quiescent jump — see `step` for the invariant.
+                        // Quiescent jump: every recorded resource event is
+                        // at or before `disp`, so each acquisition this
+                        // micro-op would perform drains its window empty
+                        // and returns `disp` unchanged — advance time
+                        // straight there, clearing those windows in O(1)
+                        // instead of walking their entries. Only the
+                        // structures the exhaustive path would acquire are
+                        // touched (dispatch times are not monotone across
+                        // instructions, so an untouched window must keep
+                        // its entries for later, earlier-cycle
+                        // acquisitions).
                         self.stats.cycles_skipped += disp - self.horizon;
                         self.rob.reset();
                         self.iq.reset();
@@ -1354,12 +826,16 @@ impl OooCore {
                     let (_, disp) = self.dispatch_slots.take(disp, 1);
                     note_event(&mut self.horizon, disp + 1);
 
+                    // Operand readiness (RAW through renamed registers).
                     let ready = self.pre_srcs_ready(pre[k].srcs).max(disp + 1);
 
+                    // Issue + execute through a functional unit.
                     let complete = match class {
                         UopClass::IntAlu => {
                             let (unit, start) = self.int_alus.take(ready, 1);
-                            alu_units[k] = Some(unit);
+                            if !dup {
+                                alu_units[k] = Some(unit);
+                            }
                             let (_, start) = self.issue_slots.take(start, 1);
                             start + lat.int_alu
                         }
@@ -1402,7 +878,9 @@ impl OooCore {
                             let (_, start) = self.int_alus.take(ready, 1);
                             let (_, start) = self.issue_slots.take(start, 1);
                             let c = start + lat.branch;
-                            resolve_cycle = Some(c);
+                            if !dup {
+                                resolve_cycle = Some(c);
+                            }
                             c
                         }
                         UopClass::Load => {
@@ -1411,33 +889,48 @@ impl OooCore {
                             let (_, agu_start) = self.mem_ports.take(ready, 1);
                             let (_, agu_start) = self.issue_slots.take(agu_start, 1);
                             let addr_known = agu_start + lat.agu;
-                            let bytes = width.bytes();
-                            let fwd = if self.cfg.event_skip && addr_known >= self.stores_commit_max
-                            {
-                                None
+                            if dup {
+                                // RMT duplicate loads read the load value
+                                // queue, not the cache.
+                                addr_known + lat.forward
                             } else {
-                                self.stores_in_flight
-                                    .iter()
-                                    .rev()
-                                    .find(|s| {
-                                        s.commit > addr_known
-                                            && addr < s.addr + s.bytes
-                                            && s.addr < addr + bytes
-                                    })
-                                    .map(|s| s.data_ready)
-                            };
-                            match fwd {
-                                Some(dr) => {
-                                    self.stats.store_forwards += 1;
-                                    addr_known.max(dr) + lat.forward
-                                }
-                                None => {
-                                    let done_t = hier.dread(pc, addr, self.to_time(addr_known));
-                                    self.to_cycle(done_t)
+                                // Store-to-load forwarding: youngest older
+                                // store overlapping this access and still in
+                                // flight at addr_known. The skip path elides
+                                // the window walk when every store has
+                                // provably left the window by then.
+                                let bytes = width.bytes();
+                                let fwd = if self.cfg.event_skip
+                                    && addr_known >= self.stores_commit_max
+                                {
+                                    None
+                                } else {
+                                    self.stores_in_flight
+                                        .iter()
+                                        .rev()
+                                        .find(|s| {
+                                            s.commit > addr_known
+                                                && addr < s.addr + s.bytes
+                                                && s.addr < addr + bytes
+                                        })
+                                        .map(|s| s.data_ready)
+                                };
+                                match fwd {
+                                    Some(dr) => {
+                                        self.stats.store_forwards += 1;
+                                        addr_known.max(dr) + lat.forward
+                                    }
+                                    None => {
+                                        let done_t = hier.dread(pc, addr, self.to_time(addr_known));
+                                        self.to_cycle(done_t)
+                                    }
                                 }
                             }
                         }
                         UopClass::Store => {
+                            // Stores are "complete" when address and data
+                            // are both available; memory is written at
+                            // commit through the write buffer.
                             let (_, agu_start) = self.mem_ports.take(ready, 1);
                             let (_, agu_start) = self.issue_slots.take(agu_start, 1);
                             let addr_known = agu_start + lat.agu;
@@ -1452,7 +945,9 @@ impl OooCore {
                         UopClass::RdCycle => {
                             let (_, start) = self.int_alus.take(ready, 1);
                             let (_, start) = self.issue_slots.take(start, 1);
-                            nondet_value = Some(start + lat.int_alu);
+                            if !dup {
+                                nondet_value = Some(start + lat.int_alu);
+                            }
                             start + lat.int_alu
                         }
                         UopClass::Nop | UopClass::Halt => {
@@ -1460,230 +955,261 @@ impl OooCore {
                             start + 1
                         }
                     };
+                    // One horizon raise covers everything this micro-op
+                    // booked: unit busy-until ≤ complete, issue slot ≤
+                    // complete, wakeup (reg_ready) = complete, window
+                    // releases ≤ complete + 1.
                     note_event(&mut self.horizon, complete + 1);
-                    completes[k] = complete;
-                    self.iq.push(complete);
-                    let dst_slot = pre[k].dst;
-                    if dst_slot != NO_REG_SLOT {
-                        self.reg_ready[dst_slot as usize] = complete;
-                    }
-                }
-
-                // ---- Functional execution (oracle) --------------------
-                let mut nondet = SuppliedNondet(nondet_value);
-                let step = self.state.step_decoded(insn, &mut hier.data, &mut nondet);
-                if let Some(stuck) = self.stuck {
-                    apply_stuck(&mut self.state, stuck, self.cfg.int_alus, uops, &alu_units);
-                }
-
-                let mut mem_effects =
-                    [MemEffect { is_store: false, addr: 0, value: 0, width: MemWidth::B, old: 0 };
-                        2];
-                let mut n_effects = 0usize;
-                for a in step.mem.iter() {
-                    mem_effects[n_effects] = MemEffect {
-                        is_store: a.is_store,
-                        addr: a.addr,
-                        value: a.value,
-                        width: a.width,
-                        old: a.old,
-                    };
-                    n_effects += 1;
-                }
-                let mem_effects = &mem_effects[..n_effects];
-
-                // ---- Load-forwarding-unit capture events --------------
-                {
-                    let mut load_idx = 0usize;
-                    // `(seq + k) % rob_entries`, maintained incrementally:
-                    // one divide per instruction instead of one per uop.
-                    let mut rob_slot = (self.seq % self.cfg.rob_entries as u64) as usize;
-                    for (k, _) in uops.iter().enumerate() {
-                        if pre[k].class == UopClass::Load {
-                            let eff = mem_effects
-                                .iter()
-                                .filter(|e| !e.is_store)
-                                .nth(load_idx)
-                                .copied()
-                                .expect("load uop has an effect");
-                            sink.on_load_executed(
-                                rob_slot,
-                                eff.addr,
-                                eff.value,
-                                eff.width,
-                                self.to_time(completes[k]),
-                            );
-                            load_idx += 1;
+                    if dup {
+                        // The duplicate occupies window entries until it
+                        // commits alongside the primary; approximate its
+                        // release with its completion + 1.
+                        self.rob.push(complete + 1);
+                        self.iq.push(complete);
+                        if is_load {
+                            self.lq.push(complete + 1);
                         }
-                        rob_slot += 1;
-                        if rob_slot == self.cfg.rob_entries {
-                            rob_slot = 0;
+                        if is_store {
+                            self.sq.push(complete + 1);
                         }
-                    }
-                }
-
-                // ---- Control-flow resolution (terminator only) --------
-                if is_term {
-                    match insn {
-                        Instruction::Branch { .. } => {
-                            self.stats.branches += 1;
-                            let (p, btb_target) = prediction.expect("branch was predicted");
-                            let taken = step.taken_branch;
-                            self.pred.update_direction(pc, p, taken);
-                            if taken {
-                                self.pred.btb_update(pc, step.next_pc);
-                            }
-                            let correct =
-                                p.taken == taken && (!taken || btb_target == Some(step.next_pc));
-                            if correct {
-                                if taken {
-                                    self.next_fetch_cycle =
-                                        self.next_fetch_cycle.max(fetch_cycle + 1);
-                                }
-                            } else {
-                                self.stats.mispredicts += 1;
-                                let resolve = resolve_cycle.expect("branch resolved");
-                                self.next_fetch_cycle = self.next_fetch_cycle.max(resolve + 1);
-                            }
+                        match pre[k].dst {
+                            NO_REG_SLOT => {}
+                            d if d < 32 => self.phys_int.push(complete + 1),
+                            _ => self.phys_fp.push(complete + 1),
                         }
-                        Instruction::Jal { .. } => {
-                            let hit = self.pred.btb_lookup(pc) == Some(step.next_pc);
-                            self.pred.btb_update(pc, step.next_pc);
-                            let bubble = if hit { 1 } else { 2 };
-                            self.next_fetch_cycle = self.next_fetch_cycle.max(fetch_cycle + bubble);
-                        }
-                        Instruction::Jalr { .. } => {
-                            let predicted = jalr_prediction.expect("jalr was predicted");
-                            self.pred.btb_update(pc, step.next_pc);
-                            if predicted == Some(step.next_pc) {
-                                self.next_fetch_cycle = self.next_fetch_cycle.max(fetch_cycle + 1);
-                            } else {
-                                self.stats.mispredicts += 1;
-                                let resolve = resolve_cycle.expect("jalr resolved");
-                                self.next_fetch_cycle = self.next_fetch_cycle.max(resolve + 1);
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-
-                // ---- In-order commit with detection gating ------------
-                let mut mem_iter = 0usize;
-                // `(seq + k) % rob_entries`, maintained incrementally (see
-                // the load capture loop above).
-                let mut rob_slot = (self.seq % self.cfg.rob_entries as u64) as usize;
-                for (k, u) in uops.iter().enumerate() {
-                    let complete = completes[k];
-                    let mut commit = (complete + 1).max(self.last_commit).max(self.commit_gate);
-                    let mem = if matches!(pre[k].class, UopClass::Load | UopClass::Store) {
-                        let e = mem_effects[mem_iter];
-                        mem_iter += 1;
-                        Some(e)
                     } else {
-                        None
-                    };
-                    if let Some(e) = mem {
-                        if e.is_store {
-                            let (wb_slot, wb_start) = self.write_buffer.take(commit, 0);
-                            commit = commit.max(wb_start);
-                            let done_t = hier.dwrite(pc, e.addr, self.to_time(wb_start));
-                            let done_cycle = self.to_cycle(done_t);
-                            self.write_buffer.set_busy(wb_slot, done_cycle);
-                            note_event(&mut self.horizon, done_cycle);
+                        completes[k] = complete;
+                        // IQ release at issue, approximated by completion
+                        // (conservative); the destination wakes at
+                        // completion.
+                        self.iq.push(complete);
+                        let dst_slot = pre[k].dst;
+                        if dst_slot != NO_REG_SLOT {
+                            self.reg_ready[dst_slot as usize] = complete;
                         }
                     }
-                    let (_, slot) = self.commit_slots.take(commit, 1);
-                    commit = commit.max(slot);
+                }
+            }
 
-                    let ev = CommitEvent {
-                        seq: self.seq + k as u64,
-                        instr_index: self.instr_index,
-                        pc,
-                        insn,
-                        uop_index: u.uop_index,
-                        last: u.last,
-                        mem,
-                        nondet: if u.is_nondet() { step.nondet } else { None },
-                        rob_slot,
-                    };
-                    loop {
-                        match sink.on_commit(&ev, self.to_time(commit), &self.state, hier) {
-                            CommitGate::Accept => break,
-                            CommitGate::AcceptWithPause(pause) => {
-                                self.stats.gate_pauses += 1;
-                                self.stats.gate_pause_cycles += pause;
-                                self.commit_gate = commit + pause;
-                                self.dispatch_gate = commit + pause;
-                                note_event(&mut self.horizon, commit + pause);
-                                break;
-                            }
-                            CommitGate::Retry(t) => {
-                                let c2 = self.to_cycle(t).max(commit + 1);
-                                self.stats.gate_retry_cycles += c2 - commit;
-                                if self.cfg.event_skip {
-                                    // Span up to `ff_until` was accounted
-                                    // by a system fast-forward already.
-                                    let base = commit.max(self.ff_until.min(c2 - 1));
-                                    self.stats.cycles_skipped += (c2 - 1) - base;
-                                }
-                                commit = c2;
-                            }
-                        }
-                    }
-                    self.last_commit = commit;
-                    note_event(&mut self.horizon, commit + 1);
+            // ---- Functional execution (oracle) + faults -------------------
+            let mut nondet = SuppliedNondet(nondet_value);
+            let step = self.state.step_decoded(insn, &mut hier.data, &mut nondet);
+            // The effect list lives on the stack (≤ 2 accesses per
+            // macro-op): this body runs once per retired instruction and
+            // must not allocate.
+            let mut mem_effects =
+                [MemEffect { is_store: false, addr: 0, value: 0, width: MemWidth::B, old: 0 }; 2];
+            let mut n_effects = 0usize;
+            for a in step.mem.iter() {
+                mem_effects[n_effects] = MemEffect {
+                    is_store: a.is_store,
+                    addr: a.addr,
+                    value: a.value,
+                    width: a.width,
+                    old: a.old,
+                };
+                n_effects += 1;
+            }
+            let mem_effects = &mut mem_effects[..n_effects];
+            let mut capture_flip = 0;
+            if let Some(strike) = &strike {
+                capture_flip =
+                    apply_strike(strike, insn, &mut self.state, &mut hier.data, mem_effects);
+                if strike.pc.is_some() {
+                    // A PC corruption also redirects fetch.
+                    self.last_fetch_line = u64::MAX;
+                }
+            }
+            if let Some(stuck) = self.stuck {
+                apply_stuck(&mut self.state, stuck, self.cfg.int_alus, uops, &alu_units);
+            }
 
-                    self.rob.push(commit);
-                    if pre[k].class == UopClass::Load {
-                        self.lq.push(commit);
+            // ---- Load-forwarding-unit capture events ----------------------
+            // The LFU captures the true loaded value at cache access
+            // (§IV-C); only a strike before duplication corrupts it, and
+            // only the instruction's first load.
+            {
+                let mut loads = step.mem.iter().filter(|a| !a.is_store);
+                // `(seq + k) % rob_entries`, maintained incrementally: one
+                // divide per instruction instead of one per uop.
+                let mut rob_slot = (self.seq % self.cfg.rob_entries as u64) as usize;
+                for (k, p) in pre.iter().enumerate() {
+                    if p.class == UopClass::Load {
+                        let a = loads.next().expect("load uop has an effect");
+                        sink.on_load_executed(
+                            rob_slot,
+                            a.addr,
+                            a.value ^ std::mem::take(&mut capture_flip),
+                            a.width,
+                            self.to_time(completes[k]),
+                        );
                     }
-                    if let Some(e) = mem {
-                        if e.is_store {
-                            self.sq.push(commit);
-                            self.stores_in_flight.push_back(InflightStore {
-                                addr: e.addr,
-                                bytes: e.width.bytes(),
-                                data_ready: complete,
-                                commit,
-                            });
-                            self.stores_commit_max = self.stores_commit_max.max(commit);
-                            if self.stores_in_flight.len() > self.cfg.sq_entries {
-                                self.stores_in_flight.pop_front();
-                            }
-                            self.stats.stores += 1;
-                        } else {
-                            self.stats.loads += 1;
-                        }
-                    }
-                    match u.dst {
-                        Some(DstReg::Int(_)) => self.phys_int.push(commit),
-                        Some(DstReg::Fp(_)) => self.phys_fp.push(commit),
-                        None => {}
-                    }
-                    self.stats.committed_uops += 1;
                     rob_slot += 1;
                     if rob_slot == self.cfg.rob_entries {
                         rob_slot = 0;
                     }
                 }
+            }
 
-                self.seq += uops.len() as u64;
-                self.instr_index += 1;
-                self.stats.committed_instrs += 1;
-                self.stats.last_commit_cycle = self.last_commit;
-                done += 1;
-                if step.halted {
-                    self.halted = true;
-                    return Ok(BlockOutcome { instrs: done, halted: true });
+            // ---- Control-flow resolution (terminator only) ----------------
+            if is_term {
+                match insn {
+                    Instruction::Branch { .. } => {
+                        self.stats.branches += 1;
+                        let (p, btb_target) = prediction.expect("branch was predicted");
+                        let taken = step.taken_branch;
+                        self.pred.update_direction(pc, p, taken);
+                        if taken {
+                            self.pred.btb_update(pc, step.next_pc);
+                        }
+                        let correct =
+                            p.taken == taken && (!taken || btb_target == Some(step.next_pc));
+                        if correct {
+                            if taken {
+                                self.next_fetch_cycle = self.next_fetch_cycle.max(fetch_cycle + 1);
+                            }
+                        } else {
+                            self.stats.mispredicts += 1;
+                            let resolve = resolve_cycle.expect("branch resolved");
+                            self.next_fetch_cycle = self.next_fetch_cycle.max(resolve + 1);
+                        }
+                    }
+                    Instruction::Jal { .. } => {
+                        let hit = self.pred.btb_lookup(pc) == Some(step.next_pc);
+                        self.pred.btb_update(pc, step.next_pc);
+                        let bubble = if hit { 1 } else { 2 };
+                        self.next_fetch_cycle = self.next_fetch_cycle.max(fetch_cycle + bubble);
+                    }
+                    Instruction::Jalr { .. } => {
+                        let predicted = jalr_prediction.expect("jalr was predicted");
+                        self.pred.btb_update(pc, step.next_pc);
+                        if predicted == Some(step.next_pc) {
+                            self.next_fetch_cycle = self.next_fetch_cycle.max(fetch_cycle + 1);
+                        } else {
+                            self.stats.mispredicts += 1;
+                            let resolve = resolve_cycle.expect("jalr resolved");
+                            self.next_fetch_cycle = self.next_fetch_cycle.max(resolve + 1);
+                        }
+                    }
+                    _ => {}
                 }
-                if done >= max_instrs {
-                    return Ok(BlockOutcome { instrs: done, halted: false });
+            }
+
+            // ---- In-order commit with detection gating -------------------
+            let mut mem_iter = 0usize;
+            // `(seq + k) % rob_entries`, maintained incrementally (see the
+            // load capture loop above).
+            let mut rob_slot = (self.seq % self.cfg.rob_entries as u64) as usize;
+            for (k, u) in uops.iter().enumerate() {
+                let complete = completes[k];
+                let mut commit = (complete + 1).max(self.last_commit).max(self.commit_gate);
+                let mem = if matches!(pre[k].class, UopClass::Load | UopClass::Store) {
+                    let e = mem_effects[mem_iter];
+                    mem_iter += 1;
+                    Some(e)
+                } else {
+                    None
+                };
+                if let Some(e) = mem {
+                    if e.is_store {
+                        let (wb_slot, wb_start) = self.write_buffer.take(commit, 0);
+                        commit = commit.max(wb_start);
+                        let done_t = hier.dwrite(pc, e.addr, self.to_time(wb_start));
+                        let done_cycle = self.to_cycle(done_t);
+                        self.write_buffer.set_busy(wb_slot, done_cycle);
+                        note_event(&mut self.horizon, done_cycle);
+                    }
                 }
+                let (_, slot) = self.commit_slots.take(commit, 1);
+                commit = commit.max(slot);
+
+                let ev = CommitEvent {
+                    seq: self.seq + k as u64,
+                    instr_index: self.instr_index,
+                    pc,
+                    insn,
+                    uop_index: u.uop_index,
+                    last: u.last,
+                    mem,
+                    nondet: if u.is_nondet() { step.nondet } else { None },
+                    rob_slot,
+                };
+                loop {
+                    match sink.on_commit(&ev, self.to_time(commit), &self.state, hier) {
+                        CommitGate::Accept => break,
+                        CommitGate::AcceptWithPause(pause) => {
+                            self.stats.gate_pauses += 1;
+                            self.stats.gate_pause_cycles += pause;
+                            self.commit_gate = commit + pause;
+                            self.dispatch_gate = commit + pause;
+                            note_event(&mut self.horizon, commit + pause);
+                            break;
+                        }
+                        CommitGate::Retry(t) => {
+                            let c2 = self.to_cycle(t).max(commit + 1);
+                            self.stats.gate_retry_cycles += c2 - commit;
+                            if self.cfg.event_skip {
+                                // Span up to `ff_until` was accounted
+                                // by a system fast-forward already.
+                                let base = commit.max(self.ff_until.min(c2 - 1));
+                                self.stats.cycles_skipped += (c2 - 1) - base;
+                            }
+                            commit = c2;
+                        }
+                    }
+                }
+                self.last_commit = commit;
+                note_event(&mut self.horizon, commit + 1);
+
+                self.rob.push(commit);
+                if pre[k].class == UopClass::Load {
+                    self.lq.push(commit);
+                }
+                if let Some(e) = mem {
+                    if e.is_store {
+                        self.sq.push(commit);
+                        self.stores_in_flight.push_back(InflightStore {
+                            addr: e.addr,
+                            bytes: e.width.bytes(),
+                            data_ready: complete,
+                            commit,
+                        });
+                        self.stores_commit_max = self.stores_commit_max.max(commit);
+                        if self.stores_in_flight.len() > self.cfg.sq_entries {
+                            self.stores_in_flight.pop_front();
+                        }
+                        self.stats.stores += 1;
+                    } else {
+                        self.stats.loads += 1;
+                    }
+                }
+                match u.dst {
+                    Some(DstReg::Int(_)) => self.phys_int.push(commit),
+                    Some(DstReg::Fp(_)) => self.phys_fp.push(commit),
+                    None => {}
+                }
+                self.stats.committed_uops += 1;
+                rob_slot += 1;
+                if rob_slot == self.cfg.rob_entries {
+                    rob_slot = 0;
+                }
+            }
+
+            self.seq += uops.len() as u64;
+            self.instr_index += 1;
+            self.stats.committed_instrs += 1;
+            self.stats.last_commit_cycle = self.last_commit;
+            done += 1;
+            if step.halted {
+                self.halted = true;
+                return Ok(BlockOutcome { instrs: done, halted: true });
+            }
+            if done >= max_instrs {
+                return Ok(BlockOutcome { instrs: done, halted: false });
             }
         }
         // Block exhausted: the next call resolves the successor block (a
-        // wild target crashes there, like the legacy driver's fetch-time
-        // bad-PC check).
+        // wild target crashes there, as a bad PC at the next fetch).
         Ok(BlockOutcome { instrs: done, halted: false })
     }
 
@@ -1691,9 +1217,7 @@ impl OooCore {
     ///
     /// Returns the number of instructions retired by this call; inspect
     /// [`halted`](Self::halted)/[`crashed`](Self::crashed) for the cause.
-    /// Drives [`step_block`](Self::step_block), which itself degrades to
-    /// the legacy per-instruction path when `OooConfig::block_exec` is off,
-    /// RMT duplication is on, or an armed fault is due.
+    /// Drives [`step_block`](Self::step_block).
     pub fn run<S: DetectionSink + ?Sized>(
         &mut self,
         hier: &mut MemHier,

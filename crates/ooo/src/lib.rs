@@ -422,62 +422,31 @@ mod tests {
         );
     }
 
-    /// Only the struck instruction leaves the block engine: a transient
-    /// strike at instruction k retires exactly one instruction through
-    /// `step`, not the k + 1 of a prefix run on the legacy path.
+    /// A latched stuck-at ALU fault forces its bit in the results that
+    /// issue on the struck unit from the latching instruction on, so the
+    /// run ends in a different state from a clean one (a dropped stuck-at
+    /// apply would leave it clean).
     #[test]
-    fn transient_strike_takes_one_legacy_step() {
-        let program = loop_program(100, |b| {
-            b.addi(Reg::X1, Reg::X1, 1);
-        });
-        let (clean, _) = run_program(&program);
-        assert_eq!(clean.stepped_instrs(), 0, "a fault-free run stays on the block engine");
-
-        let cfg = OooConfig::default();
-        let mut hier = hier_for(&cfg);
-        hier.data.load_image(&program);
-        let mut core = OooCore::new(cfg, &program);
-        core.arm_fault(ArmedFault::new(150, FaultTarget::IntRegBit { reg: Reg::X1, bit: 7 }));
-        core.run(&mut hier, &mut NullSink, 10_000_000);
-        assert!(core.halted());
-        assert!(core.unfired_faults().is_empty());
-        assert_eq!(core.stepped_instrs(), 1);
-
-        let legacy = OooConfig { block_exec: false, ..OooConfig::default() };
-        let mut hier = hier_for(&legacy);
-        hier.data.load_image(&program);
-        let mut core = OooCore::new(legacy, &program);
-        core.run(&mut hier, &mut NullSink, 10_000_000);
-        assert_eq!(core.stepped_instrs(), core.stats.committed_instrs);
-    }
-
-    /// A latched stuck-at ALU fault corrupts the same results on the block
-    /// engine as on the legacy path, which it leaves after the latching
-    /// instruction.
-    #[test]
-    fn stuck_at_fault_matches_legacy_path() {
+    fn stuck_at_fault_corrupts_block_run() {
         let program = loop_program(200, |b| {
             b.addi(Reg::X1, Reg::X1, 3);
             b.op(AluOp::Xor, Reg::X2, Reg::X2, Reg::X1);
             b.addi(Reg::X3, Reg::X3, 5);
         });
-        let run = |block_exec: bool| {
-            let cfg = OooConfig { block_exec, ..OooConfig::default() };
-            let mut hier = hier_for(&cfg);
-            hier.data.load_image(&program);
-            let mut core = OooCore::new(cfg, &program);
-            let stuck = FaultTarget::AluStuckAt { unit: 1, bit: 4, value: true };
-            core.arm_fault(ArmedFault::new(40, stuck));
-            core.run(&mut hier, &mut NullSink, 10_000_000);
-            (core.committed_state().clone(), core.stats, core.stepped_instrs())
-        };
-        let (block, block_stats, stepped) = run(true);
-        let (legacy, legacy_stats, _) = run(false);
+        let cfg = OooConfig::default();
+        let mut hier = hier_for(&cfg);
+        hier.data.load_image(&program);
+        let mut core = OooCore::new(cfg, &program);
+        let stuck = FaultTarget::AluStuckAt { unit: 1, bit: 4, value: true };
+        core.arm_fault(ArmedFault::new(40, stuck));
+        core.run(&mut hier, &mut NullSink, 10_000_000);
+        assert!(core.unfired_faults().is_empty(), "the stuck-at fault latches");
         let (clean, _) = run_program(&program);
-        assert_ne!(block, *clean.committed_state(), "the stuck bit must corrupt state");
-        assert_eq!(block, legacy);
-        assert_eq!(block_stats, legacy_stats);
-        assert_eq!(stepped, 1, "only the latching instruction takes the legacy path");
+        assert_ne!(
+            core.committed_state(),
+            clean.committed_state(),
+            "the stuck bit must corrupt state"
+        );
     }
 
     #[test]
