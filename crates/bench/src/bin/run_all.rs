@@ -4,7 +4,7 @@
 //! sharply reduced instruction budget with sanity checks on the outputs —
 //! the CI fast path. A smoke check failure or panic exits non-zero.
 use paradet_bench::experiments as ex;
-use paradet_bench::runner::Runner;
+use paradet_bench::runner::{self, Runner};
 use paradet_stats::Table;
 
 /// Instruction budget per run in smoke mode (vs. 150k for real figures).
@@ -14,12 +14,8 @@ fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke")
         || std::env::var("PARADET_SMOKE").is_ok_and(|v| v != "0" && !v.is_empty());
     let t0 = std::time::Instant::now();
-    // Decide the budget on a successfully *parsed* override, mirroring
-    // instr_budget(): a set-but-unusable PARADET_INSTRS must not silently
-    // promote a smoke run to the full 150k budget.
-    let override_instrs = std::env::var("PARADET_INSTRS").ok().and_then(|v| v.parse::<u64>().ok());
-    let default_instrs = if smoke { SMOKE_INSTRS } else { paradet_bench::runner::DEFAULT_INSTRS };
-    let r = Runner::with_instrs(override_instrs.unwrap_or(default_instrs));
+    let default_instrs = if smoke { SMOKE_INSTRS } else { runner::DEFAULT_INSTRS };
+    let r = Runner::with_instrs(runner::instr_budget(default_instrs));
     let (cov_trials, cov_instrs) = if smoke { (2, 2_000) } else { (10, 20_000) };
 
     let mut shown = 0usize;

@@ -16,9 +16,26 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// `PARADET_INSTRS` environment variable.
 pub const DEFAULT_INSTRS: u64 = 150_000;
 
-/// Reads the per-run instruction budget.
-pub fn instr_budget() -> u64 {
-    std::env::var("PARADET_INSTRS").ok().and_then(|v| v.parse().ok()).unwrap_or(DEFAULT_INSTRS)
+/// Reads the per-run instruction budget from `PARADET_INSTRS`, or
+/// `default` when it is unset. A value that is not a positive integer
+/// ends the process with exit code 2 and a message naming the variable,
+/// rather than silently running some other budget.
+pub fn instr_budget(default: u64) -> u64 {
+    let value = std::env::var("PARADET_INSTRS").ok();
+    parse_instrs(value.as_deref(), default).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
+}
+
+fn parse_instrs(value: Option<&str>, default: u64) -> Result<u64, String> {
+    match value {
+        None => Ok(default),
+        Some(v) => match v.parse::<u64>() {
+            Ok(n) if n > 0 => Ok(n),
+            _ => Err(format!("PARADET_INSTRS={v}: expected a positive instruction count")),
+        },
+    }
 }
 
 /// Where experiment CSVs are written (`EXPERIMENTS-data/` at the workspace
@@ -46,9 +63,10 @@ pub struct Runner {
 }
 
 impl Runner {
-    /// Creates a runner with the environment-configured budget.
+    /// Creates a runner with the environment-configured budget (see
+    /// [`instr_budget`]).
     pub fn new() -> Runner {
-        Runner::with_instrs(instr_budget())
+        Runner::with_instrs(instr_budget(DEFAULT_INSTRS))
     }
 
     /// Creates a runner with an explicit budget.
@@ -126,5 +144,20 @@ impl Runner {
             rep.domains.iter().map(|d| d.domain.mhz()).collect::<Vec<_>>(),
         );
         rep
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_instrs;
+
+    #[test]
+    fn instr_budget_parse_takes_positive_counts_and_refuses_the_rest() {
+        assert_eq!(parse_instrs(None, 3_000), Ok(3_000));
+        assert_eq!(parse_instrs(Some("5000"), 3_000), Ok(5_000));
+        for bad in ["20k", "0", "", "-1"] {
+            let err = parse_instrs(Some(bad), 3_000).unwrap_err();
+            assert!(err.contains("PARADET_INSTRS"), "error must name the variable: {err}");
+        }
     }
 }

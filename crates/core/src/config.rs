@@ -88,14 +88,6 @@ pub struct SystemConfig {
     ///
     /// [`checker`]: SystemConfig::checker
     pub extra_domains: DomainSet,
-    /// Fan the independent secondary-domain timing folds out over
-    /// `paradet_par` workers at each join point (default). Fold results
-    /// are bit-identical either way (in-place, set order, observe-only
-    /// hierarchy access — invariant 7 in ARCHITECTURE.md); the switch
-    /// exists so `speed_test`'s `domain_fold` section can measure the
-    /// fan-out against a serial-folds run *with identical farm
-    /// parallelism on both sides*.
-    pub parallel_domain_folds: bool,
     /// Check sealed segments inline on the sealing thread (the pre-farm
     /// legacy path) instead of dispatching them to the decoupled checker
     /// farm and joining lazily in seal order.
@@ -162,7 +154,6 @@ impl SystemConfig {
             lfu_enabled: true,
             interrupt_interval: None,
             extra_domains: DomainSet::new(),
-            parallel_domain_folds: true,
             eager_check: false,
             farm: FarmSpec::uniform(),
             sched_policy,

@@ -251,7 +251,6 @@ pub struct RollbackPlan {
 pub struct Detector {
     mode: DetectionMode,
     lfu_enabled: bool,
-    parallel_folds: bool,
     eager_check: bool,
     pause_cycles: u64,
     timeout: Option<u64>,
@@ -413,7 +412,6 @@ impl Detector {
         let mut det = Detector {
             mode: cfg.mode,
             lfu_enabled: cfg.lfu_enabled,
-            parallel_folds: cfg.parallel_domain_folds,
             eager_check: cfg.eager_check,
             pause_cycles: cfg.checkpoint_pause_cycles,
             timeout: cfg.log.timeout_insns,
@@ -767,7 +765,6 @@ impl Detector {
     fn fold_next_pending(&mut self, hier: &mut MemHier) {
         let p = self.pending.pop_front().expect("fold with no pending check");
         let done = self.farm.as_mut().expect("pending implies farm").join(p.ticket);
-        let parallel_folds = self.parallel_folds;
         let Detector {
             checkers,
             slot_class,
@@ -862,8 +859,7 @@ impl Detector {
             const PAR_FOLD_MIN_INSTRS: u64 = 256;
             let hier_ro: &MemHier = hier;
             let outcome = &done.outcome;
-            if parallel_folds
-                && domains.len() > 1
+            if domains.len() > 1
                 && outcome.instrs >= PAR_FOLD_MIN_INSTRS
                 && !paradet_par::in_worker()
                 && paradet_par::num_threads() > 1

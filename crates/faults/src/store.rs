@@ -32,7 +32,7 @@
 //! `(seed, script)` pair.
 //!
 //! The workspace is deliberately dependency-free (no serde); the JSON here
-//! is hand-rendered and hand-scanned, like `BENCH_speed.json`.
+//! is hand-rendered and hand-scanned.
 
 use crate::campaign::{CampaignConfig, FaultSite, Outcome};
 use crate::shard::ShardSpec;
@@ -363,11 +363,6 @@ pub fn read_manifest_on(fs: &dyn StoreFs, dir: &Path) -> Result<Manifest, StoreE
     Manifest::parse(&text)
 }
 
-/// [`read_manifest_on`] over the real filesystem.
-pub fn read_manifest(dir: &Path) -> Result<Manifest, StoreError> {
-    read_manifest_on(&RealFs, dir)
-}
-
 /// Writes the manifest if absent, or validates the existing one against
 /// this invocation (fingerprint and shard count must match). Returns the
 /// manifest in force.
@@ -408,15 +403,6 @@ pub fn ensure_manifest_on(
         )));
     }
     Ok(found)
-}
-
-/// [`ensure_manifest_on`] over the real filesystem.
-pub fn ensure_manifest(
-    dir: &Path,
-    cfg: &CampaignConfig,
-    shards: u32,
-) -> Result<Manifest, StoreError> {
-    ensure_manifest_on(&RealFs, dir, cfg, shards)
 }
 
 /// One checkpointed trial: the grid point and its classification. The
@@ -517,16 +503,6 @@ pub fn write_checkpoint_on(
     atomic_write_on(fs, &checkpoint_path(dir, shard), &out)
 }
 
-/// [`write_checkpoint_on`] over the real filesystem.
-pub fn write_checkpoint(
-    dir: &Path,
-    shard: ShardSpec,
-    fp: &str,
-    records: &[TrialRecord],
-) -> Result<(), StoreError> {
-    write_checkpoint_on(&RealFs, dir, shard, fp, records)
-}
-
 /// Reads shard `shard`'s checkpoint, if present, validating its header
 /// fingerprint against `expect_fp` and every line's checksum.
 ///
@@ -625,15 +601,6 @@ pub fn read_checkpoint_on(
         });
     }
     Ok(Some(records))
-}
-
-/// [`read_checkpoint_on`] over the real filesystem.
-pub fn read_checkpoint(
-    dir: &Path,
-    shard: ShardSpec,
-    expect_fp: &str,
-) -> Result<Option<Vec<TrialRecord>>, StoreError> {
-    read_checkpoint_on(&RealFs, dir, shard, expect_fp)
 }
 
 /// Path of shard `shard`'s status heartbeat inside `dir`. The supervisor
@@ -827,11 +794,6 @@ impl ShardLock {
         fs.write(&path, format!("{} {}\n", std::process::id(), token).as_bytes())?;
         Ok((ShardLock { fs: Arc::clone(fs), path }, took_over_dead))
     }
-
-    /// [`ShardLock::acquire_on`] over the real filesystem.
-    pub fn acquire(dir: &Path, shard: ShardSpec) -> Result<(ShardLock, bool), StoreError> {
-        ShardLock::acquire_on(&real_fs(), dir, shard)
-    }
 }
 
 impl Drop for ShardLock {
@@ -935,7 +897,7 @@ fn json_unescape(s: &str) -> String {
 }
 
 /// Scans `"key": "value"` out of our own JSON (not a general parser — the
-/// format is ours, as with `BENCH_speed.json`).
+/// format is ours).
 fn str_field(json: &str, key: &str) -> Option<String> {
     let tag = format!("\"{key}\": \"");
     let at = json.find(&tag)? + tag.len();
@@ -1030,17 +992,17 @@ mod tests {
     fn ensure_manifest_rejects_mismatch() {
         let dir = tmpdir("manifest");
         let cfg = CampaignConfig::default();
-        ensure_manifest(&dir, &cfg, 2).unwrap();
+        ensure_manifest_on(&RealFs, &dir, &cfg, 2).unwrap();
         // Same config, same shards: fine (the resume path).
-        ensure_manifest(&dir, &cfg, 2).unwrap();
+        ensure_manifest_on(&RealFs, &dir, &cfg, 2).unwrap();
         // Different seed: refused.
         let other = CampaignConfig { seed: 7, ..cfg.clone() };
-        match ensure_manifest(&dir, &other, 2) {
+        match ensure_manifest_on(&RealFs, &dir, &other, 2) {
             Err(StoreError::FingerprintMismatch { .. }) => {}
             r => panic!("expected fingerprint mismatch, got {r:?}"),
         }
         // Different shard count: refused.
-        assert!(matches!(ensure_manifest(&dir, &cfg, 3), Err(StoreError::Corrupt(_))));
+        assert!(matches!(ensure_manifest_on(&RealFs, &dir, &cfg, 3), Err(StoreError::Corrupt(_))));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1078,17 +1040,19 @@ mod tests {
         let dir = tmpdir("ckpt");
         let shard = ShardSpec::new(0, 2);
         let records = sample_records();
-        write_checkpoint(&dir, shard, "deadbeef", &records).unwrap();
-        let back = read_checkpoint(&dir, shard, "deadbeef").unwrap().unwrap();
+        write_checkpoint_on(&RealFs, &dir, shard, "deadbeef", &records).unwrap();
+        let back = read_checkpoint_on(&RealFs, &dir, shard, "deadbeef").unwrap().unwrap();
         assert_eq!(back, records);
         assert_eq!(back[2].outcome, Outcome::Recovered { retries: 2 }, "retry count survives");
         // Wrong fingerprint: refused.
         assert!(matches!(
-            read_checkpoint(&dir, shard, "cafebabe"),
+            read_checkpoint_on(&RealFs, &dir, shard, "cafebabe"),
             Err(StoreError::FingerprintMismatch { .. })
         ));
         // Absent shard: None.
-        assert!(read_checkpoint(&dir, ShardSpec::new(1, 2), "deadbeef").unwrap().is_none());
+        assert!(read_checkpoint_on(&RealFs, &dir, ShardSpec::new(1, 2), "deadbeef")
+            .unwrap()
+            .is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1096,7 +1060,7 @@ mod tests {
     fn interior_byte_flip_is_corrupt() {
         let dir = tmpdir("bitrot");
         let shard = ShardSpec::new(0, 1);
-        write_checkpoint(&dir, shard, "deadbeef", &sample_records()).unwrap();
+        write_checkpoint_on(&RealFs, &dir, shard, "deadbeef", &sample_records()).unwrap();
         let path = checkpoint_path(&dir, shard);
         let mut bytes = std::fs::read(&path).unwrap();
         // Flip a bit inside the *second* line (an interior trial record):
@@ -1106,7 +1070,10 @@ mod tests {
         bytes[second_line_start + 10] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
         assert!(
-            matches!(read_checkpoint(&dir, shard, "deadbeef"), Err(StoreError::Corrupt(_))),
+            matches!(
+                read_checkpoint_on(&RealFs, &dir, shard, "deadbeef"),
+                Err(StoreError::Corrupt(_))
+            ),
             "a flipped interior byte must fail the line checksum"
         );
         let _ = std::fs::remove_dir_all(&dir);
@@ -1117,13 +1084,13 @@ mod tests {
         let dir = tmpdir("chop");
         let shard = ShardSpec::new(0, 1);
         let records = sample_records();
-        write_checkpoint(&dir, shard, "deadbeef", &records).unwrap();
+        write_checkpoint_on(&RealFs, &dir, shard, "deadbeef", &records).unwrap();
         let path = checkpoint_path(&dir, shard);
         let text = std::fs::read_to_string(&path).unwrap();
         // Chop the file mid-way through its final line — a torn append.
         let chopped = &text[..text.len() - 17];
         std::fs::write(&path, chopped).unwrap();
-        let back = read_checkpoint(&dir, shard, "deadbeef").unwrap().unwrap();
+        let back = read_checkpoint_on(&RealFs, &dir, shard, "deadbeef").unwrap().unwrap();
         assert_eq!(back, records[..2], "intact prefix survives, torn tail is dropped");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1137,7 +1104,7 @@ mod tests {
                   \"shard\": \"0/1\"}\n\
                   {\"site\": \"pc\", \"trial\": 0, \"outcome\": \"masked\"}\n";
         std::fs::write(checkpoint_path(&dir, shard), v1).unwrap();
-        match read_checkpoint(&dir, shard, "deadbeef") {
+        match read_checkpoint_on(&RealFs, &dir, shard, "deadbeef") {
             Err(StoreError::SchemaVersion { found, expected }) => {
                 assert_eq!(found, "paradet-campaign-ckpt/v1");
                 assert_eq!(expected, CHECKPOINT_SCHEMA);
@@ -1198,7 +1165,7 @@ mod tests {
         // A lock whose pid cannot exist (> kernel pid_max) — SIGKILLed
         // owner long gone: taken over without ceremony.
         std::fs::write(&path, "4194999999 12345\n").unwrap();
-        let (lock, took_over) = ShardLock::acquire(&dir, shard).unwrap();
+        let (lock, took_over) = ShardLock::acquire_on(&real_fs(), &dir, shard).unwrap();
         assert!(took_over, "a dead owner's lock must be taken over");
         drop(lock);
         assert!(!path.exists(), "clean drop removes the lock");
@@ -1206,7 +1173,7 @@ mod tests {
         // Our own pid with a *stale* boot token — the pid-reuse shape (a
         // recycled pid on a different process instance): taken over.
         std::fs::write(&path, format!("{} not-a-real-token\n", std::process::id())).unwrap();
-        let (lock, took_over) = ShardLock::acquire(&dir, shard).unwrap();
+        let (lock, took_over) = ShardLock::acquire_on(&real_fs(), &dir, shard).unwrap();
         assert!(took_over, "a recycled pid must read as a dead owner");
         drop(lock);
 
@@ -1214,7 +1181,7 @@ mod tests {
         // never us) with its real boot token: refused.
         if let Some(token) = boot_token_of(1) {
             std::fs::write(&path, format!("1 {token}\n")).unwrap();
-            match ShardLock::acquire(&dir, shard) {
+            match ShardLock::acquire_on(&real_fs(), &dir, shard) {
                 Err(StoreError::Locked(m)) => {
                     assert!(m.contains("live process"), "error must say why: {m}")
                 }
@@ -1225,7 +1192,7 @@ mod tests {
 
         // Unparseable legacy lock: treated as dead, taken over.
         std::fs::write(&path, "garbage\n").unwrap();
-        let (_lock, took_over) = ShardLock::acquire(&dir, shard).unwrap();
+        let (_lock, took_over) = ShardLock::acquire_on(&real_fs(), &dir, shard).unwrap();
         assert!(took_over);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1234,7 +1201,7 @@ mod tests {
     fn fresh_lock_acquires_and_releases() {
         let dir = tmpdir("lock2");
         let shard = ShardSpec::new(0, 1);
-        let (lock, took_over) = ShardLock::acquire(&dir, shard).unwrap();
+        let (lock, took_over) = ShardLock::acquire_on(&real_fs(), &dir, shard).unwrap();
         assert!(!took_over, "a fresh acquire takes over nothing");
         // The lock file records our pid + boot token.
         let body = std::fs::read_to_string(lock_path(&dir, shard)).unwrap();
@@ -1242,7 +1209,7 @@ mod tests {
         assert_eq!(it.next().unwrap(), std::process::id().to_string());
         assert!(it.next().is_some(), "boot token recorded");
         drop(lock);
-        drop(ShardLock::acquire(&dir, shard).unwrap());
+        drop(ShardLock::acquire_on(&real_fs(), &dir, shard).unwrap());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
